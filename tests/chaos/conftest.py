@@ -13,23 +13,16 @@ terminal summary line::
 """
 
 import os
-import zlib
 
 import pytest
 
-DEFAULT_SEED = 1337
+from repro.session.soak import derive_seed
 
-#: Knuth's multiplicative-hash constant: spreads consecutive base seeds
-#: far apart before the per-test node-id hash is mixed in.
-_SPREAD = 2654435761
+DEFAULT_SEED = 1337
 
 
 def base_seed() -> int:
     return int(os.environ.get("CHAOS_SEED", DEFAULT_SEED))
-
-
-def derive_seed(base: int, token: str) -> int:
-    return (base * _SPREAD + zlib.crc32(token.encode())) % 2**31
 
 
 @pytest.fixture

@@ -9,21 +9,17 @@ random streams.  Replay a CI failure with::
 """
 
 import os
-import zlib
 
 import pytest
 
+from repro.session.soak import derive_seed
+
 DEFAULT_SEED = 1337
-_SPREAD = 2654435761
 
 
 def base_seed() -> int:
     raw = os.environ.get("WIRE_SEED") or os.environ.get("CHAOS_SEED")
     return int(raw) if raw else DEFAULT_SEED
-
-
-def derive_seed(base: int, token: str) -> int:
-    return (base * _SPREAD + zlib.crc32(token.encode())) % 2**31
 
 
 @pytest.fixture

@@ -165,6 +165,19 @@ class TestBatchCoalescing:
         # The error split the batch: one notify per flush segment.
         assert [(n.x, n.y) for n in notifies] == [(3, 3), (5, 5)]
 
+    def test_sibling_is_itself_is_per_op_error(self, server, conn):
+        wid = make_window(conn)
+        other = make_window(conn, x=200)
+        with conn.batch() as results:
+            conn.move_window(other, 3, 3)
+            conn.configure_window(wid, x=99, sibling=wid, stack_mode=ev.ABOVE)
+            conn.move_window(other, 5, 5)
+        assert [r["ok"] for r in results] == [True, False, True]
+        assert results[1]["error"] == "BadMatch"
+        _, _, children = conn.query_tree(conn.root_window())
+        assert children == [wid, other]
+        assert conn.get_geometry(wid)[0] == 10
+
 
 class TestBatchSplitBoundaries:
     def test_quota_denial_splits_batch(self):

@@ -204,6 +204,62 @@ class TestStackingInvalidation:
         index = [child.id for child, _ in root.stacking_index()]
         assert index[: len(wids)] == list(reversed(wids))
 
+    def test_configure_leaves_other_parents_index(self, server, conn):
+        _, [(a, a_kids), (b, _)] = two_parents(conn)
+        server.motion(1090, 870)  # over neither parent
+        server.window(a).stacking_index()
+        server.window(b).stacking_index()
+        conn.move_window(a_kids[0], 7, 9)
+        stats = server.stats()
+        stats.reset()
+        server.window(b).stacking_index()
+        assert stats.cache_hits("stacking_index") == 1
+        assert stats.cache_misses("stacking_index") == 0
+
+    def test_moving_common_ancestor_rebuilds_neither(self, server, conn):
+        desk, parents = two_parents(conn)
+        warm = [server.window(p).stacking_index() for p, _ in parents]
+        conn.move_window(desk, -40, -30)
+        for parent, kids in parents:
+            origin = server.window(kids[5]).position_in_root()
+            server.motion(origin.x + 3, origin.y + 3)
+            assert server.pointer.window.id == kids[5]
+            assert conn.query_pointer(parent)["child"] == kids[5]
+        assert all(
+            server.window(p).stacking_index() is index
+            for (p, _), index in zip(parents, warm)
+        )
+
+    def test_reparent_out_drops_child_from_old_parent(self, server, conn):
+        _, [(a, a_kids), (b, _)] = two_parents(conn)
+        kid = a_kids[3]
+        origin = server.window(kid).position_in_root()
+        server.motion(origin.x + 3, origin.y + 3)
+        assert conn.query_pointer(a)["child"] == kid
+        conn.reparent_window(kid, b, 900, 300)
+        assert conn.query_pointer(a)["child"] == NONE
+        assert server.pointer.window.id == a
+
+
+def two_parents(conn, per_parent=32):
+    """Two mapped parents under one mapped common ancestor, each holding
+    a grid of `per_parent` mapped, non-overlapping children."""
+    desk = conn.create_window(conn.root_window(), 0, 0, 1100, 880)
+    parents = []
+    for p in range(2):
+        parent = conn.create_window(desk, 20, 20 + p * 420, 1000, 400,
+                                    border_width=1)
+        kids = [
+            conn.create_window(parent, (i % 8) * 120 + 5, (i // 8) * 90 + 5,
+                               100, 70, border_width=1)
+            for i in range(per_parent)
+        ]
+        conn.map_subwindows(parent)
+        parents.append((parent, kids))
+    conn.map_subwindows(desk)
+    conn.map_window(desk)
+    return desk, parents
+
 
 class TestInterestInvalidation:
     def test_select_input_refreshes_all_masks(self, server, conn):

@@ -2,19 +2,91 @@
 
 Hypothesis drives random sequences of create/map/unmap/reparent/
 configure/restack/destroy against one connection and then checks the
-global tree invariants a real server maintains.
+global tree invariants a real server maintains, comparing every cached
+answer (root origins, viewability, stacking indexes and hit tests, the
+pointer window, QueryPointer's child, clip regions) with an uncached
+recomputation.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.xserver.events as ev
-from repro.xserver import BadMatch, BadValue, BadWindow, ClientConnection, XServer
+from repro.xserver import (
+    NONE, BadMatch, BadValue, BadWindow, ClientConnection, XServer,
+)
+from repro.xserver.geometry import Rect
+from repro.xserver.region import Region
+from repro.xserver.window import INPUT_ONLY
 
 OPS = st.sampled_from(
     ["create", "create_child", "map", "unmap", "reparent",
-     "move", "resize", "raise", "lower", "destroy"]
+     "move", "resize", "raise", "lower", "destroy",
+     "border", "restack_sibling", "move_parent", "warp"]
 )
+
+
+def manual_origin(window):
+    """Root origin by summing the ancestor chain, bypassing the cache."""
+    x, y = window.rect.x, window.rect.y
+    for ancestor in window.ancestors():
+        x += ancestor.rect.x + ancestor.border_width
+        y += ancestor.rect.y + ancestor.border_width
+    return x, y
+
+
+def manual_outer_rect(window):
+    x, y = manual_origin(window)
+    bw = window.border_width
+    return Rect(x - bw, y - bw, window.width + 2 * bw, window.height + 2 * bw)
+
+
+def brute_force_child(window, px, py):
+    """The topmost mapped child of *window* whose border box (and SHAPE)
+    contains root point (px, py), by a linear scan."""
+    for child in reversed(window.children):
+        if not child.mapped or not manual_outer_rect(child).contains(px, py):
+            continue
+        if child.shape is not None:
+            x, y = manual_origin(child)
+            if not child.shape.contains(px - x, py - y):
+                continue
+        return child
+    return None
+
+
+def brute_force_pointer_window(server):
+    """The deepest viewable window containing the pointer."""
+    window = server.screens[0].root
+    while True:
+        hit = brute_force_child(window, server.pointer.x, server.pointer.y)
+        if hit is None:
+            return window
+        window = hit
+
+
+def uncached_clips(root):
+    """Every window's clip region, recomputed top-down from scratch."""
+    x, y = manual_origin(root)
+    clips = {root: Region.from_rect(Rect(x, y, root.width, root.height))}
+    stack = [root]
+    while stack:
+        parent = stack.pop()
+        for i, window in enumerate(parent.children):
+            stack.append(window)
+            if not window.mapped or clips[parent].empty:
+                clips[window] = Region.EMPTY
+                continue
+            x, y = manual_origin(window)
+            region = Region.from_rect(
+                Rect(x, y, window.width, window.height)
+            ).intersect(clips[parent])
+            for above in parent.children[i + 1:]:
+                if (above.mapped and above.shape is None
+                        and above.win_class != INPUT_ONLY):
+                    region = region.subtract(manual_outer_rect(above))
+            clips[window] = region
+    return clips
 
 
 def check_invariants(server):
@@ -44,30 +116,66 @@ def check_invariants(server):
         assert window.viewable == expected
     # position_in_root is the sum of ancestor offsets.
     for window in server.windows.values():
-        x, y = window.rect.x, window.rect.y
-        for ancestor in window.ancestors():
-            x += ancestor.rect.x + ancestor.border_width
-            y += ancestor.rect.y + ancestor.border_width
         origin = window.position_in_root()
-        assert (origin.x, origin.y) == (x, y)
-    # The pointer window is a live, viewable window containing the
-    # pointer (or the root).
+        assert (origin.x, origin.y) == manual_origin(window)
+    # The pointer window is the deepest viewable window containing the
+    # pointer (or the root), borders honoured.
     pointer_window = server.pointer.window
     assert pointer_window is not None
     assert not pointer_window.destroyed
     assert pointer_window.viewable or pointer_window.is_root
+    assert pointer_window is brute_force_pointer_window(server)
+    # QueryPointer's child agrees with a linear scan on every window.
+    for wid, window in server.windows.items():
+        hit = brute_force_child(window, server.pointer.x, server.pointer.y)
+        expected = hit.id if hit is not None else NONE
+        assert server.query_pointer(wid)["child"] == expected
+    # Every stacking index equals a rebuild: the mapped children top to
+    # bottom, outer boxes relative to the parent's interior.
+    for window in server.windows.values():
+        assert window.stacking_index() == [
+            (child, (child.x - child.border_width,
+                     child.y - child.border_width,
+                     child.x + child.width + child.border_width,
+                     child.y + child.height + child.border_width))
+            for child in reversed(window.children) if child.mapped
+        ]
+    # Hit tests at each mapped child's corners and centre agree with a
+    # linear scan, whether or not the pointer is there.
+    for window in server.windows.values():
+        for child in window.children:
+            if not child.mapped:
+                continue
+            box = manual_outer_rect(child)
+            for px, py in ((box.x, box.y), (box.x2 - 1, box.y2 - 1),
+                           (box.x + box.width // 2, box.y + box.height // 2)):
+                assert (window.child_at_in_root(px, py)
+                        is brute_force_child(window, px, py))
+    # The cached clip regions equal an uncached recomputation.
+    for window, region in uncached_clips(root).items():
+        assert window.clip_region() == region
 
 
 class TestRandomOps:
     @given(
         ops=st.lists(st.tuples(OPS, st.integers(0, 9), st.integers(0, 9)),
-                     max_size=60),
+                     min_size=10, max_size=60),
     )
     @settings(max_examples=150, deadline=None)
     def test_tree_invariants_hold(self, ops):
         server = XServer(screens=[(800, 600, 8)])
         conn = ClientConnection(server)
         pool = []
+        # Start from overlapping mapped top-levels with a child each, so
+        # short sequences already restack, move and hit-test real trees.
+        for i in range(4):
+            top = conn.create_window(
+                conn.root_window(), 20 + i * 30, 20 + i * 25, 90, 80
+            )
+            inner = conn.create_window(top, 5, 5, 40, 30)
+            conn.map_window(inner)
+            conn.map_window(top)
+            pool += [top, inner]
 
         def pick(index):
             return pool[index % len(pool)] if pool else None
@@ -119,6 +227,32 @@ class TestRandomOps:
                     wid = pick(a)
                     if wid:
                         conn.destroy_window(wid)
+                elif op == "border":
+                    wid = pick(a)
+                    if wid:
+                        conn.configure_window(wid, border_width=b)
+                elif op == "restack_sibling":
+                    wid = pick(a)
+                    if wid:
+                        # Any sibling, the window itself included.
+                        siblings = server.window(wid).parent.children
+                        sibling = siblings[b % len(siblings)].id
+                        mode = ev.ABOVE if (a + b) % 2 else ev.BELOW
+                        conn.configure_window(
+                            wid, sibling=sibling, stack_mode=mode
+                        )
+                elif op == "move_parent":
+                    parents = [
+                        wid for wid in pool if server.window(wid).children
+                    ]
+                    if parents:
+                        conn.move_window(
+                            parents[a % len(parents)], a * 9 - 20, b * 7 - 20
+                        )
+                elif op == "warp":
+                    wid = pick(a)
+                    if wid:
+                        conn.warp_pointer(wid, b * 3 - 2, b * 2 - 2)
             except (BadWindow, BadMatch, BadValue):
                 pass
             pool = [wid for wid in pool if conn.window_exists(wid)]

@@ -189,6 +189,28 @@ class TestConfigureRedirect:
         _, _, children = app.query_tree(app.root_window())
         assert children.index(a) == children.index(b) + 1
 
+    @pytest.mark.parametrize("mode", [ev.ABOVE, ev.BELOW])
+    def test_sibling_is_itself_rejected_untouched(self, server, app, mode):
+        a = make_window(app)
+        b = make_window(app)
+        with pytest.raises(BadMatch):
+            app.configure_window(a, x=99, sibling=a, stack_mode=mode)
+        _, _, children = app.query_tree(app.root_window())
+        assert children == [a, b]
+        assert app.get_geometry(a)[0] == 10
+
+    def test_bad_sibling_leaves_window_untouched(self, server, app):
+        a = make_window(app)
+        frame = make_window(app)
+        nested = make_window(app, parent=frame)
+        with pytest.raises(BadWindow):
+            app.configure_window(a, x=99, sibling=0x7FFFFF, stack_mode=ev.ABOVE)
+        with pytest.raises(BadMatch):
+            app.configure_window(a, x=99, sibling=nested, stack_mode=ev.ABOVE)
+        _, _, children = app.query_tree(app.root_window())
+        assert children == [a, frame]
+        assert app.get_geometry(a)[0] == 10
+
     def test_raise_lower(self, server, app):
         a = make_window(app)
         b = make_window(app)
