@@ -20,8 +20,9 @@ caches whose counters are shared per tree (:class:`TreeCaches`):
   match is a hit, otherwise the origin revalidates through the (also
   memoised) parent chain, so one change costs one root-to-leaf walk for
   the first query and O(1) afterwards.
-- **visibility clock** — bumped on map/unmap/reparent; validates the
-  cached ``viewable`` bit the same way.
+- **visibility clock** — bumped on map/unmap/reparent and on a SHAPE
+  change (siblings' clips treat shaped windows as transparent);
+  validates the cached ``viewable`` bit the same way.
 - **stacking clock** — bumped on restack, child insertion/removal, and
   reparent; it stamps only the region cache below.
 - **stacking index** — each parent's :meth:`~Window.stacking_index`:
@@ -212,7 +213,7 @@ class Window:
         self.do_not_propagate_mask = EventMask.NoEvent
         self.background: Optional[str] = None
         self.cursor: Optional[str] = None
-        self.shape: Optional["ShapeRegion"] = None
+        self._shape: Optional["ShapeRegion"] = None
         #: Generation counter: bumped on every geometry-affecting change
         #: (configure/reparent/border); cached root origins are stamped
         #: against the tree's geometry clock instead, but the counter
@@ -332,6 +333,19 @@ class Window:
     # -- geometry ---------------------------------------------------------
 
     @property
+    def shape(self) -> Optional["ShapeRegion"]:
+        """The bounding shape (None = rectangular).  Siblings' clip
+        regions treat a shaped window as transparent, so a change bumps
+        the visibility clock the clip cache reads."""
+        return self._shape
+
+    @shape.setter
+    def shape(self, value: Optional["ShapeRegion"]) -> None:
+        if value is not self._shape:
+            self._shape = value
+            self._invalidate_visibility()
+
+    @property
     def rect(self) -> Rect:
         return self._rect
 
@@ -432,8 +446,8 @@ class Window:
             and -bw <= local_y < rect.height + bw
         ):
             return False
-        if self.shape is not None:
-            return self.shape.contains(local_x, local_y)
+        if self._shape is not None:
+            return self._shape.contains(local_x, local_y)
         return True
 
     # -- map state ---------------------------------------------------------
@@ -569,7 +583,7 @@ class Window:
         local_y = y - origin.y - bw
         for child, (x1, y1, x2, y2) in index:
             if x1 <= local_x < x2 and y1 <= local_y < y2:
-                shape = child.shape
+                shape = child._shape
                 if shape is not None:
                     origin = child.position_in_root()
                     if not shape.contains(x - origin.x, y - origin.y):
@@ -648,7 +662,7 @@ class Window:
         for above, (x1, y1, x2, y2) in parent.stacking_index():
             if above is self:
                 break
-            if above.shape is not None or above.win_class == INPUT_ONLY:
+            if above._shape is not None or above.win_class == INPUT_ONLY:
                 continue
             x1 += dx
             x2 += dx

@@ -24,7 +24,9 @@ layer splits that into three sub-layers, mirroring how swm itself is
 - :mod:`repro.xserver.wire.resilience` — connection-lifecycle
   survival: PING/PONG heartbeats, sequence-numbered events with a
   bounded replay ring, session parking + RESUME-by-token after a link
-  drop, reconnect under seeded-jitter backoff, the deterministic
+  drop, the one client core :class:`ClientWire` (request retry,
+  probing, reconnect under seeded-jitter backoff and resume) that
+  both TCP and framed clients run, the deterministic
   :class:`FramedHost`/:class:`FramedTransport` harness and the
   :class:`LinkFaultInjector` that perturbs the byte stream under
   FaultPlan RNG discipline (partition/lag/reorder/truncate/corrupt/
@@ -76,6 +78,7 @@ from .resilience import (
     SEQ_SIZE,
     Backoff,
     ClientSession,
+    ClientWire,
     FramedHost,
     FramedTransport,
     LinkDesync,
@@ -95,6 +98,7 @@ __all__ = [
     "ACK",
     "Backoff",
     "ClientSession",
+    "ClientWire",
     "ERROR",
     "EVENT",
     "FramedHost",

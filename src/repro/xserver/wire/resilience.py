@@ -32,15 +32,24 @@ server learns to distinguish **link death** from **client death**:
   hang: the server answers RESUMED ``{ok: False}``, runs the full close
   (save-set rescue), and the client surfaces :class:`SessionLost`.
 
+One client, two links: :class:`ClientWire` is the client half of the
+wire, written once — the request retry loop, the unsolicited-reply
+desync check, PING probing, event sequencing and ACKs, and
+reconnect-and-resume (:meth:`ClientWire._recover`), all driving the
+:class:`ClientSession` ledger.  Its two backends only move bytes:
+:class:`~repro.xserver.wire.tcp.TcpTransport` over a blocking socket,
+:class:`FramedTransport` over the in-process :class:`_FramedLink`.
+
 Determinism: the :class:`FramedHost` / :class:`FramedTransport` pair
 runs the *entire* frame protocol — decoder, heartbeats, resume,
 replay — synchronously in-process with a manual clock and a no-op
 sleeper, and :class:`LinkFaultInjector` perturbs the byte stream under
 :class:`~repro.xserver.faults.FaultPlan` RNG discipline (one draw per
 matching rule per frame).  A seeded link-chaos run replays
-bit-identically; the asyncio :class:`~repro.xserver.wire.tcp.WireServer`
-shares the exact same :class:`WireSession` state machine, so what the
-deterministic tests prove holds for real sockets.
+bit-identically.  The asyncio :class:`~repro.xserver.wire.tcp.WireServer`
+shares the exact same :class:`WireSession` state machine and the TCP
+client the exact same :class:`ClientWire`, so what the deterministic
+tests prove holds for real sockets on both ends.
 """
 
 from __future__ import annotations
@@ -721,9 +730,8 @@ def rescue_expired(
 
 
 class ClientSession:
-    """The client side of the resume ledger, shared by
-    :class:`~repro.xserver.wire.tcp.TcpTransport` and
-    :class:`FramedTransport`: counts requests and replies (implicit
+    """The client side of the resume ledger, driven by
+    :class:`ClientWire`: counts requests and replies (implicit
     request sequencing — the REQUEST wire format is unchanged),
     validates EVENT sequence numbers, and reconciles with the server's
     ``executed`` count after a resume."""
@@ -829,6 +837,331 @@ class ClientSession:
         return None
 
 
+class _LinkDown(Exception):
+    """Internal: the client's link is gone; the session may resume."""
+
+
+class ClientWire(Transport):
+    """The client half of the wire, written once for every link.
+
+    Requests are synchronous round-trips: send REQUEST, read frames
+    until its REPLY or ERROR.  EVENT frames met on the way are checked
+    against the :class:`ClientSession` ledger (duplicates dropped, a
+    sequence gap is a :class:`LinkDesync`), stashed on the local queue
+    and dispatched to the proxy's handlers, so client code written
+    against loopback behaves the same across a wire.
+
+    While a wait is silent the client probes with PING, up to
+    ``miss_budget`` probes (one without resilience); the round-trip
+    also ages frames a lag fault holds, so a delayed REPLY shakes
+    loose.  A spent budget, a dropped link, undecodable bytes or an
+    unsolicited reply send the session through :meth:`_recover`:
+    reconnect under seeded-jitter backoff and RESUME by token.  The
+    in-flight request is retransmitted or its cached reply collected,
+    and replayed events are deduplicated, so the application never
+    observes the flap until the session is truly lost
+    (:class:`SessionLost`, or :class:`ConnectionClosed` without
+    resilience).
+
+    Backends supply only the link: :meth:`_open_link`,
+    :meth:`_send_link`, :meth:`_recv_link` (``b""`` while the link is
+    up but silent) and :meth:`_close_link`.  Sending and receiving
+    raise :class:`_LinkDown` once the link is gone.
+    """
+
+    def __init__(self, resilience: Optional[ResilienceConfig],
+                 sleep: Callable[[float], None]):
+        self.resilience = resilience
+        self.queue: Deque[ev.Event] = deque()
+        self.client_id = -1
+        #: Successful resumes (observable by tests and the soak runner).
+        self.reconnects = 0
+        #: Backoff delays generated, in order (deterministic per seed).
+        self.delays: List[float] = []
+        #: PING probes sent so far; each probe carries the next serial.
+        self._ping_serial = 0
+        self._sleep = sleep
+        self._decoder = FrameDecoder()
+        self._pending: Deque[Frame] = deque()
+        self._dead = False
+        self._proxy = None
+        self._cs: Optional[ClientSession] = None
+        self._rng = random.Random(0)
+
+    # -- link primitives (backends) ---------------------------------------
+
+    def _open_link(self) -> None:
+        raise NotImplementedError
+
+    def _send_link(self, data: bytes) -> None:
+        raise NotImplementedError
+
+    def _recv_link(self, block: bool) -> bytes:
+        """Bytes from the server; ``b""`` when the link is up but has
+        nothing (after the backend's read timeout when *block*)."""
+        raise NotImplementedError
+
+    def _close_link(self) -> None:
+        raise NotImplementedError
+
+    # -- Transport --------------------------------------------------------
+
+    def connect(self, proxy, name: str, coalesce: bool) -> None:
+        self._proxy = proxy
+        cfg = self.resilience
+        cs = self._cs = ClientSession(
+            name, coalesce, ack_every=cfg.ack_every if cfg else 64
+        )
+        self._rng = random.Random(
+            (cfg.seed if cfg else 0) ^ zlib.crc32(name.encode("utf-8"))
+        )
+        self._reopen()
+        try:
+            self._send_link(encode_frame(HELLO, 0, cs.hello_payload()))
+            welcome = self._await((WELCOME,))
+        except (_LinkDown, LinkDesync):
+            raise self._die(ConnectionClosed(self.client_id)) from None
+        cs.handle_welcome(welcome.payload)
+        self.client_id = cs.client_id
+        self.xids = XIDRange(cs.xid_base)
+
+    def request(self, name: str, args: tuple = (),
+                kwargs: Optional[dict] = None) -> Any:
+        cs = self._cs
+        if self._dead or cs is None:
+            raise ConnectionClosed(self.client_id)
+        opcode, payload = encode_request(name, args, kwargs or {})
+        frame = encode_frame(REQUEST, opcode, payload)
+        cs.note_request(frame)
+        cfg = self.resilience
+        limit = cfg.max_attempts if cfg is not None else 1
+        recoveries = 0
+        needs_send = True
+        while True:
+            try:
+                if needs_send:
+                    if any(
+                        f.kind in (REPLY, ERROR) for f in self._pending
+                    ):
+                        # A reply nobody awaits means the ledger is
+                        # desynced — recover loudly (resume reconciles
+                        # or reports divergence) rather than silently
+                        # consuming a stale reply as this request's.
+                        raise LinkDesync("unsolicited reply buffered")
+                    self._send_link(frame)
+                    needs_send = False
+                return self._finish()
+            except (_LinkDown, LinkDesync):
+                recoveries += 1
+                if recoveries > limit:
+                    raise self._die(SessionLost(
+                        self.client_id, "recovery limit exceeded"
+                    )) from None
+                # _recover() retransmits the in-flight request itself
+                # when the server never executed it; either way the
+                # reply is on its way afterwards — never resend here,
+                # or the server would execute the request twice.
+                self._recover()
+                needs_send = False
+
+    def pump(self) -> None:
+        """Drain whatever the server already pushed, without blocking;
+        on a dead link, recover eagerly (then keep draining, so events
+        replayed by the resume land in the queue before this call
+        returns)."""
+        while not self._dead and self._cs is not None:
+            try:
+                data = self._recv_link(False)
+                if not data:
+                    return
+                self._absorb(data)
+            except (_LinkDown, LinkDesync):
+                try:
+                    self._recover()
+                except ConnectionClosed:
+                    return  # _dead is set; surfaced on the next request
+
+    def is_alive(self) -> bool:
+        if not self._dead:
+            self.pump()  # notice a server-side teardown promptly
+        return not self._dead
+
+    def close(self) -> None:
+        """Voluntary close: fire the close request and read until the
+        server drops the link (it tears the client down first, so state
+        checks right after close() are race-free) — never enter the
+        reconnect dance on a link we asked to die."""
+        if not self._dead and self.client_id >= 0:
+            opcode, payload = encode_request("close", (), {})
+            try:
+                self._send_link(encode_frame(REQUEST, opcode, payload))
+                while self._recv_link(True):
+                    pass
+            except _LinkDown:
+                pass
+        self._die()
+
+    def note_drained(self, remaining: int) -> None:
+        """No-op: the server-side flusher already noted the drain when
+        it wrote the events out; reporting again would double-count."""
+
+    def count_discards(self, type_names: List[str]) -> None:
+        if not self._dead:
+            self.request("count_discards", (list(type_names),))
+
+    def set_coalescing(self, enabled: bool) -> None:
+        self.request("set_coalescing", (bool(enabled),))
+
+    # -- protocol ---------------------------------------------------------
+
+    def _reopen(self) -> None:
+        # A client-side desync (event-sequence gap, poisoned decoder)
+        # abandons a link that may still be up: drop it so the server
+        # parks the session — otherwise RESUME on the new link finds
+        # the token still bound to a live session and rejects it.
+        self._close_link()
+        self._open_link()
+        self._decoder = FrameDecoder()
+        self._pending.clear()
+
+    def _die(self, err: Optional[Exception] = None) -> Optional[Exception]:
+        """The session is over for good: go dead, drop the link, and
+        hand back *err* for the caller to raise."""
+        self._dead = True
+        self._close_link()
+        return err
+
+    def _finish(self) -> Any:
+        frame = self._await((REPLY, ERROR))
+        cs = self._cs
+        assert cs is not None
+        if frame.kind == ERROR:
+            err = decode_error(frame.payload)
+            if isinstance(err, WireProtocolError):
+                # The server poisoned the link (injected garbage), not
+                # this request: recover and retransmit.
+                raise _LinkDown()
+            cs.note_reply()
+            if isinstance(err, ConnectionClosed):
+                self._dead = True
+            raise err
+        cs.note_reply()
+        return decode_value(frame.payload)
+
+    def _await(self, kinds: Tuple[int, ...]) -> Frame:
+        """Read until a frame of *kinds* arrives.  A silent link is
+        probed with PING; past the budget the server is hung."""
+        cfg = self.resilience
+        budget = cfg.miss_budget if cfg is not None else 1
+        probes = 0
+        while True:
+            frame = self._next_pending(kinds)
+            if frame is not None:
+                return frame
+            data = self._recv_link(True)
+            if data:
+                self._absorb(data)
+                continue
+            if probes >= budget:
+                raise _LinkDown()
+            probes += 1
+            self._ping_serial += 1
+            self._send_link(encode_frame(PING, 0, SEQ.pack(self._ping_serial)))
+
+    def _next_pending(self, kinds: Tuple[int, ...]) -> Optional[Frame]:
+        while self._pending:
+            frame = self._pending.popleft()
+            if frame.kind in kinds:
+                return frame
+            if frame.kind == ERROR:
+                err = decode_error(frame.payload)
+                if isinstance(err, WireProtocolError):
+                    raise _LinkDown()
+                if isinstance(err, ConnectionClosed):
+                    self._dead = True
+                raise err
+            raise WireProtocolError(
+                f"unexpected frame kind {frame.kind} from server"
+            )
+        return None
+
+    def _absorb(self, data: bytes) -> None:
+        cs = self._cs
+        assert cs is not None
+        try:
+            frames = self._decoder.feed(data)
+        except WireProtocolError as err:
+            # Corrupted bytes poisoned our decoder: the stream cannot
+            # be re-synchronized in place — resume on a fresh link.
+            raise LinkDesync(f"undecodable bytes from server: {err}") \
+                from None
+        for frame in frames:
+            if frame.kind == EVENT:
+                body = cs.accept_event(frame.payload)
+                if body is None:
+                    continue  # duplicate (replay overlap / dup fault)
+                event = decode_event(body)
+                self.queue.append(event)
+                if self._proxy is not None:
+                    self._proxy._dispatch_event(event)
+                ack = cs.ack_due()
+                if ack is not None:
+                    self._send_quietly(encode_frame(ACK, 0, SEQ.pack(ack)))
+            elif frame.kind == PING:
+                self._send_quietly(encode_frame(PONG, 0, frame.payload))
+            elif frame.kind != PONG:
+                self._pending.append(frame)
+
+    def _send_quietly(self, data: bytes) -> None:
+        """Send an ACK or PONG; a dead link is noticed by the next
+        read instead."""
+        try:
+            self._send_link(data)
+        except _LinkDown:
+            pass
+
+    def _recover(self) -> None:
+        """Reconnect under bounded, seeded-jitter exponential backoff
+        and resume by token.  Raises :class:`SessionLost` (after the
+        server ran save-set rescue) or plain :class:`ConnectionClosed`
+        when resilience is off — never hangs, never loops forever."""
+        cfg = self.resilience
+        cs = self._cs
+        if cfg is None or cs is None or cs.token is None:
+            raise self._die(ConnectionClosed(self.client_id))
+        for delay in Backoff(cfg, self._rng).delays():
+            self.delays.append(delay)
+            self._sleep(delay)
+            try:
+                self._reopen()
+                self._send_link(encode_frame(RESUME, 0, cs.resume_payload()))
+                frame = self._await((RESUMED,))
+            except (_LinkDown, WireError, OSError):
+                continue  # this attempt's link died too; back off more
+            verdict = decode_value(frame.payload)
+            if not isinstance(verdict, dict):
+                continue
+            if not verdict.get("ok"):
+                raise self._die(SessionLost(
+                    self.client_id,
+                    str(verdict.get("reason", "resume rejected")),
+                ))
+            try:
+                retransmit = cs.reconcile(int(verdict.get("executed", 0)))
+            except SessionLost as lost:
+                raise self._die(lost) from None
+            self.reconnects += 1
+            if retransmit and cs.last_request is not None:
+                try:
+                    self._send_link(cs.last_request)
+                except _LinkDown:
+                    continue  # lost again already; next attempt resumes
+            return
+        raise self._die(SessionLost(
+            self.client_id, "reconnect attempts exhausted"
+        ))
+
+
 class LinkFaultInjector:
     """Deterministic frame-granular network faults for one direction of
     one link, under :class:`~repro.xserver.faults.FaultPlan` RNG
@@ -927,10 +1260,6 @@ class LinkFaultInjector:
 # ---------------------------------------------------------------------------
 # Deterministic framed harness: the full wire protocol, no sockets.
 # ---------------------------------------------------------------------------
-
-
-class _LinkDown(Exception):
-    """Internal: the framed link is gone (client side)."""
 
 
 class FramedHost:
@@ -1060,17 +1389,12 @@ class _FramedLink:
         self.session.on_link_lost()
 
 
-class FramedTransport(Transport):
-    """Client transport over a :class:`FramedHost` link: the same
-    synchronous round-trip contract as
-    :class:`~repro.xserver.wire.tcp.TcpTransport`, including heartbeat
-    probing, reconnect-with-backoff (seeded jitter, injectable sleeper)
-    and resume — but fully deterministic.
-
-    When the link goes quiet mid-request the transport probes with
-    PING: the round-trip also ages frames a lag fault is holding, so a
-    delayed REPLY shakes loose; a budget of unanswered probes means the
-    link is dead and recovery (reconnect + RESUME) takes over."""
+class FramedTransport(ClientWire):
+    """The client core over a :class:`FramedHost` link: the same
+    protocol as :class:`~repro.xserver.wire.tcp.TcpTransport` (it is
+    the same code), but fully deterministic — the link is a synchronous
+    in-process pipe, and the backoff sleeper defaults to a no-op (pass
+    ``host.advance`` to let backoff run the park-grace clock)."""
 
     def __init__(
         self,
@@ -1078,285 +1402,35 @@ class FramedTransport(Transport):
         plan: Optional[FaultPlan] = None,
         sleep: Optional[Callable[[float], None]] = None,
     ):
+        super().__init__(
+            host.resilience, sleep if sleep is not None else (lambda _s: None)
+        )
         self.host = host
         self.plan = plan
-        self.server = None
-        self.pipeline = None
-        self.queue: Deque[ev.Event] = deque()
-        self.client_id = -1
-        #: Successful resumes (observable by tests and the soak runner).
-        self.reconnects = 0
-        #: Backoff delays generated, in order (deterministic per seed).
-        self.delays: List[float] = []
-        self._sleep = sleep if sleep is not None else (lambda _s: None)
         self._link: Optional[_FramedLink] = None
-        self._decoder = FrameDecoder()
-        self._pending: Deque[Frame] = deque()
-        self._dead = False
-        self._proxy = None
-        self._cs: Optional[ClientSession] = None
-        self._rng = random.Random(0)
-        self._probes = 0
 
-    # -- Transport --------------------------------------------------------
-
-    def connect(self, proxy, name: str, coalesce: bool) -> None:
-        self._proxy = proxy
-        cfg = self.host.resilience
-        self._cs = ClientSession(
-            name, coalesce, ack_every=cfg.ack_every if cfg else 64
-        )
-        seed = (cfg.seed if cfg else 0) ^ zlib.crc32(name.encode("utf-8"))
-        self._rng = random.Random(seed)
-        self._open()
-        self._send(encode_frame(HELLO, 0, self._cs.hello_payload()))
-        frame = self._await((WELCOME,))
-        self._cs.handle_welcome(frame.payload)
-        self.client_id = self._cs.client_id
-        self.xids = XIDRange(self._cs.xid_base)
-
-    def request(self, name: str, args: tuple = (),
-                kwargs: Optional[dict] = None) -> Any:
-        if self._dead or self._cs is None:
-            raise ConnectionClosed(self.client_id)
-        opcode, payload = encode_request(name, args, kwargs or {})
-        frame = encode_frame(REQUEST, opcode, payload)
-        self._cs.note_request(frame)
-        cfg = self.host.resilience
-        limit = cfg.max_attempts if cfg is not None else 1
-        recoveries = 0
-        needs_send = True
-        while True:
-            try:
-                if needs_send:
-                    if any(
-                        f.kind in (REPLY, ERROR) for f in self._pending
-                    ):
-                        # A reply nobody awaits means the ledger is
-                        # desynced — recover loudly (resume reconciles
-                        # or reports divergence) rather than silently
-                        # consuming a stale reply as this request's.
-                        raise LinkDesync("unsolicited reply buffered")
-                    self._send(frame)
-                    needs_send = False
-                return self._finish()
-            except (_LinkDown, LinkDesync):
-                recoveries += 1
-                if recoveries > limit:
-                    self._dead = True
-                    raise SessionLost(
-                        self.client_id, "recovery limit exceeded"
-                    ) from None
-                # _recover() retransmits the in-flight request itself
-                # when the server never executed it; either way the
-                # reply is on its way afterwards — never resend here,
-                # or the server would execute the request twice.
-                self._recover()
-                needs_send = False
-
-    def pump(self) -> None:
-        """Drain whatever the server already pushed; on a dead link,
-        recover eagerly (then keep draining, so events replayed by the
-        resume land in the queue before this call returns)."""
-        while not self._dead and self._link is not None:
-            try:
-                while True:
-                    data = self._link.take()
-                    if not data:
-                        return
-                    self._absorb(data)
-            except (_LinkDown, LinkDesync):
-                try:
-                    self._recover()
-                except ConnectionClosed:
-                    return  # _dead is set; surfaced on the next request
-
-    def is_alive(self) -> bool:
-        if not self._dead:
-            self.pump()  # notice a server-side teardown promptly
-        return not self._dead
-
-    def close(self) -> None:
-        """Voluntary close: fire the close request (the server tears
-        down synchronously and drops the link) and go dead locally —
-        no recovery dance on a link we asked to die."""
-        if not self._dead and self._link is not None and self._link.up \
-                and self._cs is not None and self.client_id >= 0:
-            opcode, payload = encode_request("close", (), {})
-            try:
-                self._link.send(encode_frame(REQUEST, opcode, payload))
-            except _LinkDown:  # pragma: no cover - already gone
-                pass
-        self._dead = True
-
-    def note_drained(self, remaining: int) -> None:
-        """No-op: the server-side flusher already noted the drain when
-        it wrote the events out (same contract as TcpTransport)."""
-
-    def count_discards(self, type_names: List[str]) -> None:
-        if not self._dead:
-            self.request("count_discards", (list(type_names),))
-
-    def set_coalescing(self, enabled: bool) -> None:
-        self.request("set_coalescing", (bool(enabled),))
-
-    # -- plumbing ---------------------------------------------------------
-
-    def _open(self) -> None:
-        # A client-side desync (event-sequence gap, poisoned decoder)
-        # abandons a link that may still be up: cut it so the server
-        # parks the session — otherwise RESUME on the new link finds
-        # the token still bound to a live session and rejects it.
-        if self._link is not None and self._link.up:
-            self._link.cut()
+    def _open_link(self) -> None:
         self._link = self.host.open_link(self.plan)
-        self._decoder = FrameDecoder()
-        self._pending.clear()
 
-    def _send(self, data: bytes) -> None:
-        if self._link is None or not self._link.up:
+    def _send_link(self, data: bytes) -> None:
+        if self._link is None:
             raise _LinkDown()
         self._link.send(data)
 
-    def _finish(self) -> Any:
-        assert self._cs is not None
-        frame = self._await((REPLY, ERROR))
-        if frame.kind == ERROR:
-            err = decode_error(frame.payload)
-            if isinstance(err, WireProtocolError):
-                # The server poisoned the link (injected garbage), not
-                # this request: recover and retransmit.
-                raise _LinkDown()
-            self._cs.note_reply()
-            if isinstance(err, ConnectionClosed):
-                self._dead = True
-            raise err
-        self._cs.note_reply()
-        return decode_value(frame.payload)
+    def _recv_link(self, block: bool) -> bytes:
+        if self._link is None:
+            raise _LinkDown()
+        return self._link.take()
 
-    def _await(self, kinds: Tuple[int, ...]) -> Frame:
-        assert self._cs is not None
-        cfg = self.host.resilience
-        budget = cfg.miss_budget if cfg is not None else 1
-        probes = 0
-        while True:
-            frame = self._next_pending(kinds)
-            if frame is not None:
-                return frame
-            if self._link is None:
-                raise _LinkDown()
-            data = self._link.take()  # raises _LinkDown when dead+drained
-            if data:
-                self._absorb(data)
-                continue
-            # Link up but silent: probe.  The PING/PONG round-trip also
-            # ages any frames a lag fault holds, flushing a delayed
-            # REPLY; past the budget the server is hung -> recover.
-            if probes >= budget:
-                raise _LinkDown()
-            probes += 1
-            self._probes += 1
-            self._send(encode_frame(PING, 0, SEQ.pack(self._probes)))
-
-    def _next_pending(self, kinds: Tuple[int, ...]) -> Optional[Frame]:
-        while self._pending:
-            frame = self._pending.popleft()
-            if frame.kind in kinds:
-                return frame
-            if frame.kind == ERROR:
-                err = decode_error(frame.payload)
-                if isinstance(err, WireProtocolError):
-                    raise _LinkDown()
-                if isinstance(err, ConnectionClosed):
-                    self._dead = True
-                raise err
-            raise WireProtocolError(
-                f"unexpected frame kind {frame.kind} from server"
-            )
-        return None
-
-    def _absorb(self, data: bytes) -> None:
-        assert self._cs is not None
-        try:
-            frames = self._decoder.feed(data)
-        except WireProtocolError as err:
-            # Corrupted bytes poisoned our decoder: the stream cannot
-            # be re-synchronized in place — resume on a fresh link.
-            raise LinkDesync(f"undecodable bytes from server: {err}") \
-                from None
-        for frame in frames:
-            if frame.kind == EVENT:
-                body = self._cs.accept_event(frame.payload)
-                if body is None:
-                    continue  # duplicate (replay overlap / dup fault)
-                event = decode_event(body)
-                self.queue.append(event)
-                if self._proxy is not None:
-                    self._proxy._dispatch_event(event)
-                ack = self._cs.ack_due()
-                if ack is not None and self._link is not None and self._link.up:
-                    try:
-                        self._link.send(encode_frame(ACK, 0, SEQ.pack(ack)))
-                    except _LinkDown:  # noticed on the next take()
-                        pass
-            elif frame.kind == PING:
-                if self._link is not None and self._link.up:
-                    try:
-                        self._link.send(encode_frame(PONG, 0, frame.payload))
-                    except _LinkDown:
-                        pass
-            elif frame.kind == PONG:
-                pass
-            else:
-                self._pending.append(frame)
-
-    def _recover(self) -> None:
-        """Reconnect under bounded, seeded-jitter exponential backoff
-        and resume by token.  Raises :class:`SessionLost` (after the
-        server ran save-set rescue) or plain :class:`ConnectionClosed`
-        when resilience is off — never hangs, never loops forever."""
-        cfg = self.host.resilience
-        cs = self._cs
-        if cfg is None or cs is None or cs.token is None:
-            self._dead = True
-            raise ConnectionClosed(self.client_id)
-        for delay in Backoff(cfg, self._rng).delays():
-            self.delays.append(delay)
-            self._sleep(delay)
-            try:
-                self._open()
-                self._send(encode_frame(RESUME, 0, cs.resume_payload()))
-                frame = self._await((RESUMED,))
-            except (_LinkDown, LinkDesync, WireProtocolError):
-                continue  # this attempt's link died too; back off more
-            verdict = decode_value(frame.payload)
-            if not isinstance(verdict, dict):
-                continue
-            if not verdict.get("ok"):
-                self._dead = True
-                raise SessionLost(
-                    self.client_id,
-                    str(verdict.get("reason", "resume rejected")),
-                )
-            try:
-                retransmit = cs.reconcile(int(verdict.get("executed", 0)))
-            except SessionLost:
-                self._dead = True
-                raise
-            self.reconnects += 1
-            if retransmit and cs.last_request is not None:
-                try:
-                    self._send(cs.last_request)
-                except _LinkDown:
-                    continue  # lost again already; next attempt resumes
-            return
-        self._dead = True
-        raise SessionLost(self.client_id, "reconnect attempts exhausted")
+    def _close_link(self) -> None:
+        if self._link is not None:
+            self._link.cut()
 
 
 __all__ = [
     "Backoff",
     "ClientSession",
+    "ClientWire",
     "FramedHost",
     "FramedTransport",
     "LinkDesync",

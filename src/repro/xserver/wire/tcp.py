@@ -24,13 +24,13 @@ into the parking lot) and expires parked sessions whose grace window
 ended; without one the wire behaves exactly as it did before
 resilience existed.
 
-:class:`TcpTransport` is the client half: a plain blocking socket
-(Xlib-style — requests are synchronous round-trips; EVENT frames that
-arrive interleaved are stashed on the local queue), pluggable into
-:class:`~repro.xserver.client.ClientConnection` via ``transport=``.
-With resilience it probes a silent server with PING instead of
-blocking forever, and survives a dropped socket by reconnecting under
-seeded-jitter exponential backoff and resuming its session by token.
+:class:`TcpTransport` is the client half: the shared
+:class:`~repro.xserver.wire.resilience.ClientWire` core (synchronous
+Xlib-style round-trips, PING probing, reconnect under seeded-jitter
+backoff and resume by token) over a plain blocking socket, pluggable
+into :class:`~repro.xserver.client.ClientConnection` via
+``transport=``.  The socket is only a link backend: open, send, receive
+(a read timeout means "silent", EOF or a reset means "down") and close.
 
 Malformed frames — truncated, oversized, bad version, garbage opcodes
 (the corpus in :mod:`repro.xserver.fuzz`) — produce an ERROR frame
@@ -40,62 +40,25 @@ and/or a dropped connection, never an unhandled exception.
 from __future__ import annotations
 
 import asyncio
-import random
+import select
 import socket
 import threading
 import time
-import zlib
-from collections import deque
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
-from .. import events as ev
-from ..faults import ConnectionClosed
 from ..server import XServer
-from ..xid import XIDRange
-from .codec import (
-    decode_error,
-    decode_event,
-    decode_value,
-    encode_request,
-)
-from .frames import (
-    ACK,
-    ERROR,
-    EVENT,
-    HELLO,
-    PING,
-    PONG,
-    REPLY,
-    REQUEST,
-    RESUME,
-    RESUMED,
-    WELCOME,
-    Frame,
-    FrameDecoder,
-    WireError,
-    WireProtocolError,
-    encode_frame,
-)
+from .frames import WireError
 from .resilience import (
-    SEQ,
-    SEQ_SIZE,
-    Backoff,
-    ClientSession,
-    LinkDesync,
+    ClientWire,
     ResilienceConfig,
-    SessionLost,
     SessionTable,
     WireSession,
     WireTimeouts,
+    _LinkDown,
     rescue_expired,
 )
-from .transport import Transport
-
-
-class _SocketDown(Exception):
-    """Internal: the client socket died but the session may resume."""
 
 
 class _WireProtocol(asyncio.Protocol):
@@ -337,24 +300,15 @@ class WireServer:
                            WireError(context.get("message", "loop error")))
 
 
-class TcpTransport(Transport):
-    """Blocking-socket client transport.
-
-    Requests are synchronous round-trips (send REQUEST, read frames
-    until the REPLY or ERROR arrives); EVENT frames that arrive in
-    between — the server pushes them at delivery time — are stashed on
-    the local queue and dispatched to the proxy's handlers, so client
-    code written against loopback behaves identically over TCP.
+class TcpTransport(ClientWire):
+    """The client core over a blocking socket (Xlib-style synchronous
+    round-trips), pluggable into
+    :class:`~repro.xserver.client.ClientConnection` via ``transport=``.
 
     Wall-clock bounds come from *timeouts* (the legacy single *timeout*
-    knob maps to :meth:`WireTimeouts.uniform`).  With a *resilience*
-    config the transport heartbeat-probes a silent server instead of
-    raising a bare timeout, and a dead socket triggers reconnect under
-    bounded seeded-jitter backoff plus a RESUME handshake — the in-
-    flight request is retransmitted or its cached reply collected, and
-    replayed events are deduplicated by sequence number, so the
-    application never observes the link flap (until the session is
-    truly lost, which raises :class:`SessionLost`).
+    knob maps to :meth:`WireTimeouts.uniform`).  A blocking read gives
+    up after the heartbeat interval with a *resilience* config (so
+    silence triggers a PING probe) and after the rpc bound without one.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 6600,
@@ -362,357 +316,81 @@ class TcpTransport(Transport):
                  timeouts: Optional[WireTimeouts] = None,
                  resilience: Optional[ResilienceConfig] = None,
                  sleep=time.sleep):
+        super().__init__(resilience, sleep)
         self.host = host
         self.port = port
         self.timeouts = (
             timeouts if timeouts is not None else WireTimeouts.uniform(timeout)
         )
         self.timeout = self.timeouts.rpc  # legacy attribute
-        self.resilience = resilience
-        self.server = None
-        self.pipeline = None
-        self.queue: Deque[ev.Event] = deque()
         self._sock: Optional[socket.socket] = None
-        self._decoder = FrameDecoder()
-        self._pending: Deque[Frame] = deque()
-        self._dead = False
-        self._proxy = None
-        self.client_id = -1
-        self._cs: Optional[ClientSession] = None
-        self._rng = random.Random(0)
-        self._sleep = sleep
-        self._probes = 0
-        self._ping_serial = 0
-        #: Successful resumes / backoff delays (observable by tests).
-        self.reconnects = 0
-        self.delays: List[float] = []
-
-    # -- Transport --------------------------------------------------------
+        #: Read timeout of the current phase (handshake, steady, close).
+        self._wait = self._read_timeout()
 
     def connect(self, proxy, name: str, coalesce: bool) -> None:
-        self._proxy = proxy
-        cfg = self.resilience
-        self._cs = ClientSession(
-            name, coalesce, ack_every=cfg.ack_every if cfg else 64
-        )
-        self._rng = random.Random(
-            (cfg.seed if cfg else 0) ^ zlib.crc32(name.encode("utf-8"))
-        )
-        self._open_socket()
-        assert self._sock is not None
-        self._sock.settimeout(self.timeouts.handshake)
+        self._wait = self.timeouts.handshake
         try:
-            self._send_bytes(encode_frame(HELLO, 0, self._cs.hello_payload()))
-            welcome = self._read_until((WELCOME,))
-            self._cs.handle_welcome(welcome.payload)
+            super().connect(proxy, name, coalesce)
         finally:
-            if self._sock is not None:
-                self._sock.settimeout(self._read_timeout())
-        self.client_id = self._cs.client_id
-        self.xids = XIDRange(self._cs.xid_base)
-
-    def request(self, name: str, args: tuple = (),
-                kwargs: Optional[dict] = None) -> Any:
-        if self._dead:
-            raise ConnectionClosed(self.client_id)
-        opcode, payload = encode_request(name, args, kwargs or {})
-        frame = encode_frame(REQUEST, opcode, payload)
-        if self._cs is not None:
-            self._cs.note_request(frame)
-        cfg = self.resilience
-        limit = cfg.max_attempts if cfg is not None else 0
-        recoveries = 0
-        needs_send = True
-        while True:
-            try:
-                if needs_send:
-                    if any(
-                        f.kind in (REPLY, ERROR) for f in self._pending
-                    ):
-                        # A reply nobody awaits means the ledger is
-                        # desynced — recover loudly (resume reconciles
-                        # or reports divergence) rather than silently
-                        # consuming a stale reply as this request's.
-                        raise LinkDesync("unsolicited reply buffered")
-                    self._send_bytes(frame)
-                    needs_send = False
-                return self._finish()
-            except (_SocketDown, LinkDesync):
-                recoveries += 1
-                if recoveries > limit:
-                    self._dead = True
-                    raise SessionLost(
-                        self.client_id, "recovery limit exceeded"
-                    ) from None
-                # _recover() retransmits the in-flight request itself
-                # when the server never executed it; either way the
-                # reply is on its way afterwards — never resend here,
-                # or the server would execute the request twice.
-                self._recover()
-                needs_send = False
-
-    def pump(self) -> None:
-        """Drain whatever the server already pushed, without blocking;
-        a dead socket recovers eagerly so parked events replay."""
-        if self._dead or self._sock is None:
-            return
-        self._sock.settimeout(0)
-        try:
-            while True:
-                try:
-                    data = self._sock.recv(65536)
-                except (BlockingIOError, InterruptedError):
-                    break
-                except OSError:
-                    raise self._lost() from None
-                if not data:
-                    raise self._lost()
-                self._absorb(data)
-        except (_SocketDown, LinkDesync):
-            try:
-                self._recover()
-            except ConnectionClosed:
-                pass  # _dead is set; surfaced on the next request
-        except ConnectionClosed:
-            pass  # non-recoverable: _lost() already marked us dead
-        finally:
-            if self._sock is not None:
-                self._sock.settimeout(self._read_timeout())
-
-    def is_alive(self) -> bool:
-        if not self._dead:
-            self.pump()  # notice a server-side kill promptly
-        return not self._dead
+            self._set_wait(self._read_timeout())
 
     def close(self) -> None:
-        """Voluntary close: fire the close request and wait for the
-        server's EOF (it tears the client down *before* dropping the
-        socket, so state checks right after close() are race-free) —
-        but never enter the reconnect dance on a link we asked to die."""
-        sock = self._sock
-        if sock is not None and not self._dead:
-            opcode, payload = encode_request("close", (), {})
-            try:
-                sock.sendall(encode_frame(REQUEST, opcode, payload))
-                sock.settimeout(self.timeouts.shutdown)
-                while sock.recv(65536):
-                    pass
-            except (OSError, ValueError):
-                pass
-        self._dead = True
-        self._close_socket()
-
-    def note_drained(self, remaining: int) -> None:
-        """No-op: the server-side flusher already noted the drain when
-        it wrote the events to the socket; reporting again here would
-        double-count."""
-
-    def count_discards(self, type_names: List[str]) -> None:
-        if not self._dead:
-            self.request("count_discards", (list(type_names),))
-
-    def set_coalescing(self, enabled: bool) -> None:
-        self.request("set_coalescing", (bool(enabled),))
-
-    # -- plumbing ---------------------------------------------------------
+        self._set_wait(self.timeouts.shutdown)
+        super().close()
 
     def _read_timeout(self) -> float:
-        """Socket read timeout: the heartbeat interval with resilience
-        (so silence triggers a probe, not a failure), else the rpc
-        bound."""
         if self.resilience is not None:
             return self.resilience.heartbeat_interval
         return self.timeouts.rpc
 
-    def _recoverable(self) -> bool:
-        return (self.resilience is not None and self._cs is not None
-                and self._cs.token is not None)
+    def _set_wait(self, seconds: float) -> None:
+        self._wait = seconds
+        if self._sock is not None:
+            try:
+                self._sock.settimeout(seconds)
+            except OSError:  # closed under us: the next read reports it
+                pass
 
-    def _open_socket(self) -> None:
-        self._sock = socket.create_connection(
+    # -- link primitives --------------------------------------------------
+
+    def _open_link(self) -> None:
+        sock = socket.create_connection(
             (self.host, self.port), timeout=self.timeouts.connect
         )
-        self._sock.settimeout(self._read_timeout())
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._decoder = FrameDecoder()
-        self._pending.clear()
-        self._probes = 0
+        sock.settimeout(self._wait)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock = sock
 
-    def _close_socket(self) -> None:
+    def _send_link(self, data: bytes) -> None:
+        if self._sock is None:
+            raise _LinkDown()
+        try:
+            self._sock.sendall(data)
+        except OSError:
+            self._close_link()
+            raise _LinkDown() from None
+
+    def _recv_link(self, block: bool) -> bytes:
+        sock = self._sock
+        if sock is None:
+            raise _LinkDown()
+        try:
+            if not block and not select.select((sock,), (), (), 0)[0]:
+                return b""
+            data = sock.recv(65536)
+        except socket.timeout:
+            return b""
+        except (OSError, ValueError):  # reset, or closed under us
+            data = b""
+        if not data:
+            self._close_link()
+            raise _LinkDown()
+        return data
+
+    def _close_link(self) -> None:
         sock, self._sock = self._sock, None
         if sock is not None:
             try:
                 sock.close()
             except OSError:  # pragma: no cover - best effort
                 pass
-
-    def _lost(self) -> Exception:
-        """The socket died: recoverable link-down when a resume token
-        is held, plain dead connection otherwise."""
-        self._close_socket()
-        if self._recoverable():
-            return _SocketDown()
-        self._dead = True
-        return ConnectionClosed(self.client_id)
-
-    def _send_bytes(self, data: bytes) -> None:
-        if self._sock is None:
-            if self._recoverable():
-                raise _SocketDown()
-            raise ConnectionClosed(self.client_id)
-        try:
-            self._sock.sendall(data)
-        except OSError:
-            raise self._lost() from None
-
-    def _finish(self) -> Any:
-        frame = self._read_until((REPLY, ERROR))
-        if frame.kind == ERROR:
-            err = decode_error(frame.payload)
-            if isinstance(err, WireProtocolError):
-                if self._recoverable():
-                    # The server poisoned the link (garbage injected on
-                    # the wire, not our request): recover + retransmit.
-                    raise _SocketDown()
-                raise err
-            if self._cs is not None:
-                self._cs.note_reply()
-            if isinstance(err, ConnectionClosed):
-                self._dead = True
-            raise err
-        if self._cs is not None:
-            self._cs.note_reply()
-        return decode_value(frame.payload)
-
-    def _read_until(self, kinds: Tuple[int, ...]) -> Frame:
-        """Read frames until one of *kinds* arrives; events encountered
-        on the way are delivered locally.  With resilience a read
-        timeout sends a PING probe (hung-server detection) and only a
-        full miss budget of silent probes gives up on the socket."""
-        while True:
-            frame = self._next_pending(kinds)
-            if frame is not None:
-                self._probes = 0
-                return frame
-            if self._sock is None or self._dead:
-                if self._recoverable() and not self._dead:
-                    raise _SocketDown()
-                raise ConnectionClosed(self.client_id)
-            try:
-                data = self._sock.recv(65536)
-            except socket.timeout:
-                cfg = self.resilience
-                if cfg is None:
-                    raise WireError(
-                        f"timed out waiting for frame kinds {kinds}"
-                    ) from None
-                if self._probes >= cfg.miss_budget:
-                    self._probes = 0
-                    raise self._lost() from None
-                self._probes += 1
-                self._ping_serial += 1
-                self._send_bytes(
-                    encode_frame(PING, 0, SEQ.pack(self._ping_serial))
-                )
-            except OSError:
-                raise self._lost() from None
-            else:
-                if not data:
-                    raise self._lost()
-                self._absorb(data)
-
-    def _next_pending(self, kinds: Tuple[int, ...]) -> Optional[Frame]:
-        while self._pending:
-            frame = self._pending.popleft()
-            if frame.kind in kinds:
-                return frame
-            if frame.kind == ERROR:
-                err = decode_error(frame.payload)
-                if isinstance(err, WireProtocolError) and self._recoverable():
-                    raise _SocketDown()
-                if isinstance(err, ConnectionClosed):
-                    self._dead = True
-                raise err
-            raise WireProtocolError(
-                f"unexpected frame kind {frame.kind} from server"
-            )
-        return None
-
-    def _absorb(self, data: bytes) -> None:
-        for frame in self._decoder.feed(data):
-            if frame.kind == EVENT:
-                if self._cs is not None:
-                    body = self._cs.accept_event(frame.payload)
-                    if body is None:
-                        continue  # duplicate from a replay overlap
-                else:  # pragma: no cover - defensive pre-connect path
-                    body = frame.payload[SEQ_SIZE:]
-                event = decode_event(body)
-                self.queue.append(event)
-                if self._proxy is not None:
-                    self._proxy._dispatch_event(event)
-                if self._cs is not None:
-                    ack = self._cs.ack_due()
-                    if ack is not None:
-                        try:
-                            self._send_bytes(
-                                encode_frame(ACK, 0, SEQ.pack(ack))
-                            )
-                        except (_SocketDown, ConnectionClosed):
-                            pass  # noticed by the read path shortly
-            elif frame.kind == PING:
-                try:
-                    self._send_bytes(encode_frame(PONG, 0, frame.payload))
-                except (_SocketDown, ConnectionClosed):
-                    pass
-            elif frame.kind == PONG:
-                pass
-            else:
-                self._pending.append(frame)
-
-    def _recover(self) -> None:
-        """Reconnect under bounded, seeded-jitter exponential backoff
-        and resume by token; raises :class:`SessionLost` (server-side
-        save-set rescue already ran) or plain :class:`ConnectionClosed`
-        when resilience is off — never hangs."""
-        cfg = self.resilience
-        cs = self._cs
-        if cfg is None or cs is None or cs.token is None:
-            self._dead = True
-            self._close_socket()
-            raise ConnectionClosed(self.client_id)
-        for delay in Backoff(cfg, self._rng).delays():
-            self.delays.append(delay)
-            self._sleep(delay)
-            try:
-                self._open_socket()
-                self._send_bytes(encode_frame(RESUME, 0, cs.resume_payload()))
-                frame = self._read_until((RESUMED,))
-            except (OSError, _SocketDown, LinkDesync, WireError):
-                continue  # this attempt failed too; back off more
-            verdict = decode_value(frame.payload)
-            if not isinstance(verdict, dict):
-                continue
-            if not verdict.get("ok"):
-                self._dead = True
-                self._close_socket()
-                raise SessionLost(
-                    self.client_id,
-                    str(verdict.get("reason", "resume rejected")),
-                )
-            try:
-                retransmit = cs.reconcile(int(verdict.get("executed", 0)))
-            except SessionLost:
-                self._dead = True
-                self._close_socket()
-                raise
-            self.reconnects += 1
-            if retransmit and cs.last_request is not None:
-                try:
-                    self._send_bytes(cs.last_request)
-                except _SocketDown:
-                    continue  # lost again already; next attempt resumes
-            return
-        self._dead = True
-        self._close_socket()
-        raise SessionLost(self.client_id, "reconnect attempts exhausted")

@@ -11,9 +11,9 @@ seeded link chaos are plain inputs, not timing weather:
 - the resume handshake at the frame level: cached-reply resend
   (exactly-once execution), retransmit-after-loss, ledger divergence,
   unknown tokens;
-- park + resume through a real client: windows survive a cut link,
-  ``record.parked`` is visible to oracles, events delivered while
-  parked replay in order;
+- park + resume through a real client: events delivered while parked
+  replay in order, a reaped peer comes back (the recovery scenarios
+  the TCP client shares live in ``test_client_wire.py``);
 - the degradation ladder's bottom rungs: ring overflow and grace
   expiry end in a clean close (never a hang), including a reconnect
   racing the expiry from both sides of the deadline;
@@ -370,31 +370,6 @@ class TestResumeHandshake:
 
 
 class TestParkAndResume:
-    def test_windows_survive_a_cut_link(self, server):
-        host = make_host(server)
-        conn, transport = connect(server, host)
-        wid = conn.create_window(conn.root_window(), 0, 0, 60, 40)
-        conn.map_window(wid)
-        cid = conn.client_id
-
-        transport._link.cut()
-        # Parked: the record (windows, XIDs, quotas) stays registered
-        # and is flagged for the oracles.
-        record = server.clients[cid]
-        assert record.parked is True
-        assert host.sessions.parked_count() == 1
-        assert server.stats().wire_count("framed", "parked") == 1
-
-        # The next request transparently reconnects and resumes.
-        assert conn.window_exists(wid) is True
-        assert transport.reconnects == 1
-        assert len(transport.delays) == 1
-        assert server.clients[cid] is record
-        assert record.parked is False
-        assert server.stats().wire_count("framed", "resumed") == 1
-        # Same client id, same session — not a new registration.
-        assert conn.client_id == cid
-
     def test_events_delivered_while_parked_replay_in_order(self, server):
         host = make_host(server, ack_every=100)
         conn, transport = connect(server, host)
@@ -432,21 +407,6 @@ class TestParkAndResume:
         # Reaped is parked, not closed: the client comes back.
         assert conn.intern_atom("BACK") > 0
         assert transport.reconnects == 1
-
-    def test_client_probes_flush_a_lagged_reply(self, server, wire_seed):
-        host = make_host(server, seed=wire_seed)
-        plan = FaultPlan(wire_seed)
-        rule = plan.rule(
-            LAG, probability=1.0, lag=2, direction="s2c", arm_after=1,
-            max_fires=1, name="hold-reply",
-        )
-        conn, transport = connect(server, host, plan)
-        # The reply to this request is held by the lag fault; the
-        # transport's PING probes age it loose — no reconnect needed.
-        assert conn.intern_atom("LAGGED") > 0
-        assert rule.fires == 1
-        assert transport.reconnects == 0
-        assert transport._probes >= 1
 
 
 # ---------------------------------------------------------------------------

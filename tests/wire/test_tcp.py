@@ -32,7 +32,6 @@ from repro.xserver.wire import (
     WELCOME,
     FrameDecoder,
     ResilienceConfig,
-    SessionLost,
     TcpTransport,
     WireServer,
     decode_value,
@@ -478,69 +477,7 @@ def rserver():
     return XServer()
 
 
-@pytest.fixture
-def rwire(rserver):
-    # Long heartbeat so reaping never interferes with reconnect tests;
-    # the reap test builds its own server with a twitchy heartbeat.
-    ws = WireServer(rserver, resilience=ResilienceConfig(
-        seed=7, heartbeat_interval=5.0, park_grace=30.0,
-    ))
-    ws.start()
-    yield ws
-    ws.stop()
-
-
-def resilient_transport(port, seed):
-    return TcpTransport(port=port, resilience=ResilienceConfig(
-        seed=seed, backoff_base=0.01, backoff_cap=0.1, max_attempts=8,
-    ))
-
-
 class TestTcpResilience:
-    def test_reconnect_resumes_with_windows_intact(self, rserver, rwire,
-                                                   wire_seed):
-        transport = resilient_transport(rwire.port, wire_seed)
-        conn = ClientConnection(name="phoenix", transport=transport)
-        wid = conn.create_window(conn.root_window(), 0, 0, 20, 20)
-        conn.map_window(wid)
-        cid = conn.client_id
-
-        # Yank the socket; the server notices the EOF and parks.
-        transport._sock.shutdown(socket.SHUT_RDWR)
-        assert wait_until(
-            lambda: rwire.call(lambda: rserver.clients[cid].parked)
-        )
-        assert rwire.call(lambda: rwire.sessions.parked_count()) == 1
-
-        # The next request transparently reconnects and resumes: same
-        # client id, same windows, no exception surfaced.
-        assert conn.window_exists(wid) is True
-        assert transport.reconnects == 1
-        assert len(transport.delays) >= 1
-        assert conn.client_id == cid
-        assert rwire.call(lambda: rserver.clients[cid].parked) is False
-        assert rwire.call(
-            lambda: rserver.stats().wire_count("tcp", "resumed")
-        ) == 1
-        conn.close()
-        assert rwire.errors == []
-
-    def test_repeated_flaps_keep_healing(self, rserver, rwire, wire_seed):
-        transport = resilient_transport(rwire.port, wire_seed)
-        conn = ClientConnection(name="flappy", transport=transport)
-        wid = conn.create_window(conn.root_window(), 0, 0, 20, 20)
-        cid = conn.client_id
-        for flap in range(3):
-            transport._sock.shutdown(socket.SHUT_RDWR)
-            assert wait_until(
-                lambda: rwire.call(lambda: rserver.clients[cid].parked)
-            )
-            conn.move_window(wid, flap, 0)
-            assert conn.get_geometry(wid)[0] == flap
-        assert transport.reconnects == 3
-        conn.close()
-        assert rwire.errors == []
-
     def test_silent_peer_is_reaped_parked_then_rescued(self, rserver):
         ws = WireServer(rserver, resilience=ResilienceConfig(
             seed=7, heartbeat_interval=0.05, miss_budget=2,
@@ -576,21 +513,6 @@ class TestTcpResilience:
             assert ws.errors == []
         finally:
             ws.stop()
-
-    def test_dead_server_is_a_clean_session_loss(self, wire_seed):
-        server = XServer()
-        ws = WireServer(server, resilience=ResilienceConfig(seed=7))
-        ws.start()
-        transport = resilient_transport(ws.port, wire_seed)
-        conn = ClientConnection(name="orphan", transport=transport)
-        assert conn.intern_atom("ALIVE") > 0
-        ws.stop()
-        # Every reconnect attempt fails; the bottom rung is a clean,
-        # bounded SessionLost — never a hang.
-        with pytest.raises(SessionLost):
-            conn.intern_atom("DEAD")
-        assert not transport.is_alive()
-        assert len(transport.delays) == 8  # all attempts, all backed off
 
 
 class TestBackpressureFlowControl:

@@ -1,7 +1,7 @@
 """Randomized-operation invariants on the server's window tree.
 
 Hypothesis drives random sequences of create/map/unmap/reparent/
-configure/restack/destroy against one connection and then checks the
+configure/restack/destroy/shape against one connection and then checks the
 global tree invariants a real server maintains, comparing every cached
 answer (root origins, viewability, stacking indexes and hit tests, the
 pointer window, QueryPointer's child, clip regions) with an uncached
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.xserver.events as ev
 from repro.xserver import (
-    NONE, BadMatch, BadValue, BadWindow, ClientConnection, XServer,
+    NONE, BadMatch, BadValue, BadWindow, Bitmap, ClientConnection, XServer,
 )
 from repro.xserver.geometry import Rect
 from repro.xserver.region import Region
@@ -22,7 +22,8 @@ from repro.xserver.window import INPUT_ONLY
 OPS = st.sampled_from(
     ["create", "create_child", "map", "unmap", "reparent",
      "move", "resize", "raise", "lower", "destroy",
-     "border", "restack_sibling", "move_parent", "warp"]
+     "border", "restack_sibling", "move_parent", "warp",
+     "shape", "unshape"]
 )
 
 
@@ -253,6 +254,16 @@ class TestRandomOps:
                     wid = pick(a)
                     if wid:
                         conn.warp_pointer(wid, b * 3 - 2, b * 2 - 2)
+                elif op == "shape":
+                    wid = pick(a)
+                    if wid:
+                        conn.shape_window(
+                            wid, Bitmap.solid(1 + a * 4, 1 + b * 4), a, b
+                        )
+                elif op == "unshape":
+                    wid = pick(a)
+                    if wid:
+                        conn.shape_window(wid, None)
             except (BadWindow, BadMatch, BadValue):
                 pass
             pool = [wid for wid in pool if conn.window_exists(wid)]
