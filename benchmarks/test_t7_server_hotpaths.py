@@ -18,6 +18,10 @@ caches buy us:
   ``query_pointer`` calls re-use cached root origins (hit rate >= 90%
   with motion coalescing disabled, so every event is fully delivered).
 
+A last guard counts SHAPE conversions for one managed oclock (bitmap to
+bands at most twice, never back), so a reintroduced mask round trip on
+the launch path fails by count rather than by timing.
+
 Timing cases use pytest-benchmark (group ``t7``); the guards are plain
 asserts on ``server.stats()`` cache counters, so they hold under
 ``--benchmark-disable`` too.
@@ -25,9 +29,10 @@ asserts on ``server.stats()`` cache counters, so they hold under
 
 import pytest
 
-from repro.xserver import ClientConnection, EventMask, XServer
+from repro.clients import OClock
+from repro.xserver import ClientConnection, EventMask, XServer, shape
 
-from .conftest import fresh_server, report
+from .conftest import fresh_server, fresh_wm, report
 
 SWEEP = 400  # motion events per sweep
 
@@ -199,3 +204,37 @@ def test_t7_index_locality_guard():
         counts.append(rebuilds)
     report("T7: stacking-index rebuilds per child configure", lines)
     assert counts[0] == counts[1]
+
+
+def test_t7_shaped_launch_conversion_guard(monkeypatch):
+    """swm managing one oclock turns a SHAPE bitmap into bands at most
+    twice (the client's ShapeMask and the frame's) and never rasterises
+    a region back into a bitmap: the frame forwards the client's own
+    mask at a shifted offset.  Counted by wrapping the two converters
+    from outside, so a reintroduced round trip fails deterministically."""
+    calls = {"bitmap_region": 0, "region_bitmap": 0}
+
+    def counted(name):
+        inner = getattr(shape, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(shape, name, wrapper)
+
+    server = fresh_server()
+    wm = fresh_wm(server)
+    wm.process_pending()
+    counted("bitmap_region")
+    counted("region_bitmap")
+    app = OClock(server, ["oclock"])
+    wm.process_pending()
+    frame = wm.managed[app.wid].frame
+    report("T7: SHAPE conversions for one managed oclock", [
+        f"bitmap -> bands: {calls['bitmap_region']}",
+        f"bands -> bitmap: {calls['region_bitmap']}",
+    ])
+    assert server.window_is_shaped(frame)
+    assert server.shape_query(frame).area() == server.shape_query(app.wid).area()
+    assert 1 <= calls["bitmap_region"] <= 2
+    assert calls["region_bitmap"] == 0

@@ -52,16 +52,17 @@ class XEyes(SimApp):
 
     def _decorate_window(self) -> None:
         _, _, width, height, _ = self.conn.get_geometry(self.wid)
-        eye = Bitmap.disc(height)
-        mask = Bitmap.solid(width, height, False)
-        for y in range(height):
-            for x in range(height):
-                if eye.get(x, y):
-                    mask.set(x, y, True)
-                    far_x = width - height + x
-                    if 0 <= far_x < width:
-                        mask.set(far_x, y, True)
-        self.conn.shape_window(self.wid, mask)
+        # Two eyes, flush left and right (they overlap when the window
+        # is narrower than two heights).
+        far = width - height
+        rows = []
+        for eye_row in Bitmap.disc(height).rows:
+            lo = eye_row.index(True)
+            row = [False] * width
+            row[:height] = eye_row
+            row[far + lo:width - lo] = eye_row[lo:height - lo]
+            rows.append(row)
+        self.conn.shape_window(self.wid, Bitmap(width, height, rows))
 
 
 class XTerm(SimApp):

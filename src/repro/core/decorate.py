@@ -132,12 +132,10 @@ def frame_shape_for(
         return None
     if client_shape is None:
         return None
-    # Shift the client's shape to the client slot's frame position.
-    shifted = ShapeRegion(
-        client_shape.mask,
-        client_shape.x_offset + plan.client_rect.x,
-        client_shape.y_offset + plan.client_rect.y,
-    )
+    # Shift the client's shape to the client slot's frame position; a
+    # shape set from a bitmap keeps it, so the frame's ShapeMask
+    # forwards the client's mask at a shifted offset.
+    shifted = client_shape.translated(plan.client_rect.x, plan.client_rect.y)
     others: List[Tuple[int, int, int, int]] = []
     for child in plan.panel.children:
         if child.name == "client":
@@ -145,7 +143,7 @@ def frame_shape_for(
         rect = plan.panel.child_rect(child.name)
         others.append((rect.x, rect.y, rect.width, rect.height))
     if not others:
-        return ShapeRegion(shifted.mask, shifted.x_offset, shifted.y_offset)
+        return shifted
     other_region = ShapeRegion.from_rects(
         plan.frame_size.width, plan.frame_size.height, others
     )

@@ -9,6 +9,7 @@ system.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Dict, List, Sequence
 
@@ -43,16 +44,26 @@ class Bitmap:
 
     @classmethod
     def disc(cls, diameter: int) -> "Bitmap":
-        """A filled circle — the classic oclock SHAPE mask."""
+        """A filled circle — the classic oclock SHAPE mask.
+
+        Pixel (x, y) is set when ``(x - c)**2 + (y - c)**2 <= r**2``
+        (``r = diameter / 2``, ``c = r - 0.5``).  That set is one run per
+        row, symmetric about the centre, so each row is built from ``lo``,
+        its first set x: estimated with a square root, then settled by
+        the predicate itself."""
         radius = diameter / 2.0
-        cx = cy = radius - 0.5
-        rows = [
-            [
-                (x - cx) ** 2 + (y - cy) ** 2 <= radius * radius
-                for x in range(diameter)
-            ]
-            for y in range(diameter)
-        ]
+        centre = radius - 0.5
+        r2 = radius * radius
+        rows = []
+        for y in range(diameter):
+            dy2 = (y - centre) ** 2
+            lo = max(0, math.ceil(centre - math.sqrt(max(0.0, r2 - dy2))))
+            while lo > 0 and (lo - 1 - centre) ** 2 + dy2 <= r2:
+                lo -= 1
+            while lo < centre and (lo - centre) ** 2 + dy2 > r2:
+                lo += 1
+            rows.append([False] * lo + [True] * (diameter - 2 * lo)
+                        + [False] * lo)
         return cls(diameter, diameter, rows)
 
     # -- queries -----------------------------------------------------------

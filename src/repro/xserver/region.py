@@ -28,6 +28,7 @@ Regions are immutable; ``EMPTY`` is a shared singleton.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, List, Optional, Tuple, Union as _Union
 
 from .geometry import Rect
@@ -193,19 +194,16 @@ class Region:
         return Rect(x1, y1, x2 - x1, y2 - y1)
 
     def contains(self, x: int, y: int) -> bool:
-        """Point membership (pixel at *x*, *y*)."""
-        for y1, y2, walls in self.bands:
-            if y < y1:
-                return False
-            if y >= y2:
-                continue
-            for i in range(0, len(walls), 2):
-                if walls[i] <= x < walls[i + 1]:
-                    return True
-                if x < walls[i]:
-                    return False
+        """Point membership (pixel at *x*, *y*): bisect to the last
+        band starting at or above *y*, then to *x* among its walls —
+        inside when an odd number of walls lie at or left of *x*."""
+        bands = self.bands
+        # (y, inf) sorts after every band whose y1 is y.
+        i = bisect_right(bands, (y, _INF))
+        if not i:
             return False
-        return False
+        _, y2, walls = bands[i - 1]
+        return y < y2 and bisect_right(walls, x) & 1 == 1
 
     def intersects_rect(self, rect: Rect) -> bool:
         """True when any pixel of *rect* is in the region (no

@@ -240,17 +240,21 @@ def decode_value(payload: bytes) -> Any:
 # -- bitmaps -------------------------------------------------------------
 
 
+#: Bit bytes (0/1) to the digits ``int(..., 2)`` reads, and back.
+_BITS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _encode_bitmap_into(out: bytearray, bitmap: Bitmap) -> None:
+    """Width, height, then the rows' bits back to back, LSB first."""
     _write_varint(out, bitmap.width)
     _write_varint(out, bitmap.height)
-    packed = bytearray((bitmap.width * bitmap.height + 7) // 8)
-    index = 0
-    for row in bitmap.rows:
-        for bit in row:
-            if bit:
-                packed[index >> 3] |= 1 << (index & 7)
-            index += 1
-    out.extend(packed)
+    nbytes = (bitmap.width * bitmap.height + 7) // 8
+    bits = b"".join(map(bytes, bitmap.rows))
+    # int() reads the most significant digit first: reversing the stream
+    # makes its bit i the integer's bit i.
+    value = int(bits[::-1].translate(_BITS_TO_DIGITS), 2) if bits else 0
+    out += value.to_bytes(nbytes, "little")
 
 
 def _decode_bitmap_from(buf: bytes, pos: int) -> Tuple[Bitmap, int]:
@@ -261,15 +265,13 @@ def _decode_bitmap_from(buf: bytes, pos: int) -> Tuple[Bitmap, int]:
     nbytes = (width * height + 7) // 8
     if pos + nbytes > len(buf):
         raise WireProtocolError("truncated bitmap")
-    packed = buf[pos:pos + nbytes]
-    rows = []
-    index = 0
-    for _ in range(height):
-        row = []
-        for _ in range(width):
-            row.append(bool(packed[index >> 3] & (1 << (index & 7))))
-            index += 1
-        rows.append(row)
+    value = int.from_bytes(buf[pos:pos + nbytes], "little")
+    digits = format(value, f"0{nbytes * 8}b").encode()
+    bits = digits[::-1].translate(_DIGITS_TO_BITS)
+    rows = [
+        list(map(bool, bits[start:start + width]))
+        for start in range(0, width * height, width)
+    ]
     return Bitmap(width, height, rows), pos + nbytes
 
 

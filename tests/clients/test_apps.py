@@ -10,6 +10,7 @@ from repro.clients import (
     MultiWindowApp,
     OClock,
     XClock,
+    XEyes,
     XTerm,
     launch_command,
     parse_xt_options,
@@ -17,6 +18,7 @@ from repro.clients import (
 )
 from repro.icccm.hints import ICONIC_STATE, P_RESIZE_INC, US_POSITION, US_SIZE
 from repro.xserver import XServer
+from repro.xserver.bitmap import Bitmap
 
 
 @pytest.fixture
@@ -105,6 +107,25 @@ class TestAppCreation:
     def test_oclock_is_shaped(self, server):
         app = OClock(server, ["oclock"])
         assert app.conn.window_is_shaped(app.wid)
+
+    @pytest.mark.parametrize("size", ["150x100", "250x100", "100x100", "31x17"])
+    def test_xeyes_mask_is_two_discs(self, server, size):
+        """Two eye discs, flush left and right (overlapping when the
+        window is narrower than two heights), as the pixel-by-pixel
+        construction set them."""
+        app = XEyes(server, ["xeyes", "-geometry", size])
+        width, height = map(int, size.split("x"))
+        eye = Bitmap.disc(height)
+        expected = Bitmap.solid(width, height, False)
+        for y in range(height):
+            for x in range(height):
+                if eye.get(x, y):
+                    expected.set(x, y, True)
+                    far_x = width - height + x
+                    if 0 <= far_x < width:
+                        expected.set(far_x, y, True)
+        shape = server.shape_query(app.wid)
+        assert (shape.mask, shape.x_offset, shape.y_offset) == (expected, 0, 0)
 
     def test_xterm_resize_increments(self, server):
         app = XTerm(server, ["xterm"])

@@ -108,6 +108,23 @@ class TestValueCodec:
             decoded = roundtrip(bitmap)
             assert decoded == bitmap
 
+    def test_bitmap_bytes_are_pinned(self):
+        """The bitmap encoding is part of the wire format: width, height,
+        then every row's bits back to back, LSB first (13x5 = 65 bits,
+        so rows straddle byte boundaries and the last byte is padded)."""
+        bitmap = Bitmap.from_strings([
+            "#.#..##...###",
+            ".............",
+            "#############",
+            "##.##.##.##.#",
+            "............#",
+        ])
+        payload = bytes.fromhex("0d0d05651c00fcff6d0b0001")
+        assert encode_value(bitmap) == payload
+        decoded = decode_value(payload)
+        assert decoded == bitmap
+        assert all(type(bit) is bool for row in decoded.rows for bit in row)
+
     def test_random_nested_values(self, wire_seed):
         rng = random.Random(wire_seed)
 

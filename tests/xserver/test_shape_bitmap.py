@@ -1,17 +1,97 @@
 """Bitmaps, XBM round-trip, and the SHAPE extension."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import repro.xserver.events as ev
 from repro.xserver import ClientConnection, EventMask, XServer
 from repro.xserver.bitmap import Bitmap, lookup_bitmap, stock_bitmap_names
+from repro.xserver.errors import BadValue
 from repro.xserver.shape import (
     SHAPE_INTERSECT,
+    SHAPE_INVERT,
+    SHAPE_SET,
     SHAPE_SUBTRACT,
     SHAPE_UNION,
     ShapeRegion,
 )
+
+
+def disc_predicate(diameter):
+    """Oracle for ``Bitmap.disc``: the circle test, pixel by pixel (the
+    squares are hoisted out of the loop; the float operations are the
+    same ones, so the result is too)."""
+    radius = diameter / 2.0
+    centre = radius - 0.5
+    r2 = radius * radius
+    squares = [(i - centre) ** 2 for i in range(diameter)]
+    return [[dx2 + dy2 <= r2 for dx2 in squares] for dy2 in squares]
+
+
+class PixelShape:
+    """Oracle for :class:`ShapeRegion`: the per-pixel bitmap model it
+    replaced.  ``combine`` builds the bitmap of the box covering both
+    operands (empty when that box lies left of or above the origin) and
+    keeps only the pixels at x, y >= 0."""
+
+    def __init__(self, mask, x_offset=0, y_offset=0):
+        self.mask = mask
+        self.x_offset = x_offset
+        self.y_offset = y_offset
+
+    def contains(self, x, y):
+        return self.mask.get(x - self.x_offset, y - self.y_offset)
+
+    def extents(self):
+        points = [
+            (x, y)
+            for y, row in enumerate(self.mask.rows)
+            for x, bit in enumerate(row) if bit
+        ]
+        if not points:
+            return None
+        xs = [x for x, _ in points]
+        ys = [y for _, y in points]
+        return (min(xs) + self.x_offset, min(ys) + self.y_offset,
+                max(xs) - min(xs) + 1, max(ys) - min(ys) + 1)
+
+    def area(self):
+        return self.mask.count_set()
+
+    def combine(self, other, op):
+        if op == SHAPE_SET:
+            return other
+        ops = {
+            SHAPE_UNION: lambda a, b: a or b,
+            SHAPE_INTERSECT: lambda a, b: a and b,
+            SHAPE_SUBTRACT: lambda a, b: a and not b,
+            SHAPE_INVERT: lambda a, b: b and not a,
+        }
+        width = max(0, self.mask.width + self.x_offset,
+                    other.mask.width + other.x_offset)
+        height = max(0, self.mask.height + self.y_offset,
+                     other.mask.height + other.y_offset)
+        rows = [
+            [bool(ops[op](self.contains(x, y), other.contains(x, y)))
+             for x in range(width)]
+            for y in range(height)
+        ]
+        return PixelShape(Bitmap(width, height, rows))
+
+
+@st.composite
+def masks(draw):
+    width = draw(st.integers(1, 12))
+    height = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=width,
+                                  max_size=width),
+                         min_size=height, max_size=height))
+    return Bitmap(width, height, rows)
+
+
+offsets = st.integers(-4, 6)
+ops = st.sampled_from(
+    [SHAPE_SET, SHAPE_UNION, SHAPE_INTERSECT, SHAPE_SUBTRACT, SHAPE_INVERT])
 
 
 class TestBitmap:
@@ -28,6 +108,10 @@ class TestBitmap:
         bitmap = Bitmap.solid(2, 2)
         assert not bitmap.get(-1, 0)
         assert not bitmap.get(5, 5)
+
+    def test_disc_matches_the_pixel_predicate(self):
+        for diameter in range(1, 513):
+            assert Bitmap.disc(diameter).rows == disc_predicate(diameter), diameter
 
     def test_disc_is_roundish(self):
         disc = Bitmap.disc(16)
@@ -125,6 +209,41 @@ class TestShapeRegion:
         assert region.area() == 4 + 9
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(masks(), offsets, offsets,
+           st.lists(st.tuples(masks(), offsets, offsets, ops), max_size=3))
+    def test_matches_the_pixel_oracle(self, mask, dx, dy, steps):
+        """Every combine op, chained as successive ShapeMask requests
+        chain them, agrees with the per-pixel model on membership,
+        extents, area and the mask it would send."""
+        shape = ShapeRegion(mask, dx, dy)
+        oracle = PixelShape(mask, dx, dy)
+        for step_mask, sx, sy, op in steps:
+            shape = shape.combine(ShapeRegion(step_mask, sx, sy), op)
+            oracle = oracle.combine(PixelShape(step_mask, sx, sy), op)
+        for y in range(-6, 20):
+            for x in range(-6, 20):
+                assert shape.contains(x, y) == oracle.contains(x, y), (x, y)
+        assert shape.extents() == oracle.extents()
+        assert shape.area() == oracle.area()
+        assert (shape.mask, shape.x_offset, shape.y_offset) == (
+            oracle.mask, oracle.x_offset, oracle.y_offset)
+        assert ShapeRegion(shape.mask, shape.x_offset,
+                           shape.y_offset).region == shape.region
+
+    def test_translated_keeps_the_mask(self):
+        mask = Bitmap.disc(10)
+        shape = ShapeRegion(mask, 1, 2).translated(5, -3)
+        assert shape.mask is mask
+        assert (shape.x_offset, shape.y_offset) == (6, -1)
+        assert shape.region == ShapeRegion(mask, 6, -1).region
+
+    def test_combine_rejects_a_bad_op(self):
+        a = ShapeRegion(Bitmap.solid(2, 2))
+        with pytest.raises(BadValue):
+            a.combine(ShapeRegion(Bitmap.solid(2, 2)), 9)
+
+
 class TestShapedWindows:
     @pytest.fixture
     def server(self):
@@ -163,3 +282,18 @@ class TestShapedWindows:
         # ...the square's corner does not (falls through to root).
         server.motion(101, 101)
         assert server.pointer.window.id == conn.root_window()
+
+    def test_combine_wholly_above_left_of_origin_is_empty(self, server, conn):
+        """A combine whose covering box lies entirely at negative
+        coordinates leaves the empty (origin-clipped) shape, not a
+        server-side ValueError; a bad op is still BadValue."""
+        wid = conn.create_window(conn.root_window(), 0, 0, 64, 64)
+        conn.shape_window(wid, Bitmap.solid(4, 4), x_offset=-10, y_offset=-10)
+        conn._request("shape_set_mask", wid, Bitmap.solid(4, 4),
+                      op=SHAPE_UNION, x_offset=-10, y_offset=-10)
+        shape = server.shape_query(wid)
+        assert conn.window_is_shaped(wid)
+        assert shape.area() == 0 and shape.extents() is None
+        with pytest.raises(BadValue):
+            conn._request("shape_set_mask", wid, Bitmap.solid(4, 4),
+                          op=9, x_offset=-10, y_offset=-10)
