@@ -110,14 +110,12 @@ class ActiveBatch:
             return
         pending, self._pending = self._pending, {}
         stats = server._stats
-        refresh_pointer = False
         for item in pending.values():
             stats.count_batch_coalesced(item.count - 1)
             window = item.window
             if window.destroyed:
                 continue
             if isinstance(item, _PendingConfigure):
-                refresh_pointer = True
                 server._emit_configure_notify(window)
                 grew = (
                     window.width > item.width0
@@ -133,5 +131,4 @@ class ActiveBatch:
                     ),
                     EventMask.PropertyChange,
                 )
-        if refresh_pointer:
-            server._refresh_pointer_window()
+        server._settle_pointer()

@@ -117,6 +117,10 @@ class XServer:
         self._next_client = 1
         self.timestamp = 1
         self.pointer = PointerState()
+        #: Set by every change to a viewable window (the only changes
+        #: that can move the pointer window); the request that made the
+        #: change re-derives the pointer window once its events are out.
+        self._pointer_stale = False
         self.keyboard = KeyboardState()
         self.grabs = GrabTable()
         self.active_grab: Optional[ActiveGrab] = None
@@ -262,6 +266,7 @@ class XServer:
             x=first.width // 2, y=first.height // 2
         )
         self.pointer.window = self._window_at(first, self.pointer.x, self.pointer.y)
+        self._pointer_stale = False
 
     def _tick(self) -> int:
         self.timestamp += 1
@@ -720,8 +725,7 @@ class XServer:
             ),
             EventMask.SubstructureNotify,
         )
-        # Window creation can place a new window under the pointer.
-        self._refresh_pointer_window()
+        # A new window is unmapped: the pointer window cannot move.
         return window
 
     def destroy_window(self, client_id: int, wid: int) -> None:
@@ -730,14 +734,14 @@ class XServer:
         if window.is_root:
             raise BadWindow(wid, "cannot destroy a root window")
         self._destroy_tree(window)
-        self._refresh_pointer_window()
+        self._settle_pointer()
 
     def destroy_subwindows(self, client_id: int, wid: int) -> None:
         self._tick()
         window = self.window(wid)
         for child in list(window.children):
             self._destroy_tree(child)
-        self._refresh_pointer_window()
+        self._settle_pointer()
 
     def _destroy_tree(self, window: Window) -> None:
         # Re-entrancy: a DestroyNotify handler (the WM runs
@@ -803,6 +807,8 @@ class XServer:
 
     def _do_map(self, window: Window) -> None:
         window.mapped = True
+        if window.viewable:
+            self._pointer_stale = True
         self._structure_notify(
             window,
             ev.MapNotify(
@@ -813,7 +819,7 @@ class XServer:
         )
         if window.viewable:
             self._expose_tree(window)
-        self._refresh_pointer_window()
+        self._settle_pointer()
 
     def _expose_tree(self, window: Window) -> None:
         """Expose *window* and its mapped descendants, damage-driven.
@@ -879,9 +885,11 @@ class XServer:
         if not window.mapped:
             return
         self._do_unmap(window)
-        self._refresh_pointer_window()
+        self._settle_pointer()
 
     def _do_unmap(self, window: Window) -> None:
+        if window.viewable:
+            self._pointer_stale = True
         window.mapped = False
         self._structure_notify(
             window,
@@ -909,17 +917,26 @@ class XServer:
         if window.root() is not new_parent.root():
             raise BadMatch(wid, "new parent on a different screen")
         was_mapped = window.mapped
+        was_viewable = window.viewable
         if was_mapped:
             self._do_unmap(window)
         self._do_reparent(window, new_parent, x, y)
         if was_mapped:
             self.map_window(client_id, wid)
+        if was_viewable and not window.viewable:
+            # The re-map was redirected to a window manager (or the new
+            # parent is hidden): no map re-derived the pointer window,
+            # which may have been this one.
+            self._refresh_pointer_window()
 
     def _do_reparent(
         self, window: Window, new_parent: Window, x: int, y: int
     ) -> None:
+        was_viewable = window.viewable
         window.reparent(new_parent)
         window.rect = window.rect.moved_to(x, y)
+        if was_viewable or window.viewable:
+            self._pointer_stale = True
         event = ev.ReparentNotify(
             window=window.id,
             reparented_window=window.id,
@@ -1022,12 +1039,14 @@ class XServer:
         window.rect = Rect(new_x, new_y, new_w, new_h)
         if restack:
             window.restack(stack_mode, sibling_window)
+        if window.viewable:
+            self._pointer_stale = True
         if batch is not None:
             return
         self._emit_configure_notify(window)
         if grew and window.viewable:
             self._send_exposures(window)
-        self._refresh_pointer_window()
+        self._settle_pointer()
 
     def _emit_configure_notify(self, window: Window) -> None:
         """ConfigureNotify reflecting the window's current state (used
@@ -1077,6 +1096,8 @@ class XServer:
             )
             return
         target.restack(ev.ABOVE if place == ev.PLACE_ON_TOP else ev.BELOW)
+        if window.viewable:
+            self._pointer_stale = True
         self._deliver(
             window,
             ev.CirculateNotify(
@@ -1084,8 +1105,7 @@ class XServer:
             ),
             EventMask.SubstructureNotify,
         )
-        # Restacking can change which window is under the pointer.
-        self._refresh_pointer_window()
+        self._settle_pointer()
 
     # ------------------------------------------------------------------
     # Attributes & input selection
@@ -1431,9 +1451,17 @@ class XServer:
                 return window
             window = hit
 
+    def _settle_pointer(self) -> None:
+        """Re-derive the pointer window if a viewable window changed
+        since it was last derived; a change confined to unviewable
+        windows cannot move it, so it costs no hit test."""
+        if self._pointer_stale:
+            self._refresh_pointer_window()
+
     def _refresh_pointer_window(self) -> None:
         """Re-derive the pointer window after tree changes, emitting
         crossing events when it changed."""
+        self._pointer_stale = False
         screen = self.screens[self.pointer.screen]
         new = self._window_at(screen, self.pointer.x, self.pointer.y)
         old = self.pointer.window
@@ -1838,6 +1866,8 @@ class XServer:
             else:
                 window.shape = window.shape.combine(region, op)
             shaped = True
+        if window.viewable:
+            self._pointer_stale = True
         extents = window.shape.extents() if window.shape else None
         event = ev.ShapeNotify(
             window=wid,
@@ -1851,7 +1881,7 @@ class XServer:
         # ShapeNotify goes to clients that asked via ShapeSelectInput;
         # we deliver under StructureNotify which every WM selects anyway.
         self._deliver(window, event, EventMask.StructureNotify)
-        self._refresh_pointer_window()
+        self._settle_pointer()
 
     def shape_query(self, wid: int) -> Optional[ShapeRegion]:
         return self.window(wid).shape

@@ -130,6 +130,26 @@ class TestCrossings:
         enters = conn.flush_events(ev.EnterNotify)
         assert enters and enters[0].window == under
 
+    def test_reparent_with_redirected_remap_leaves_window(self, server, conn):
+        """Reparenting a mapped window under the pointer unmaps it; when
+        the re-map goes to the window manager instead, the pointer
+        window falls back to whatever is now under it."""
+        wm = ClientConnection(server, "wm")
+        wm.select_input(wm.root_window(), EventMask.SubstructureRedirect)
+        holder = mapped_window(conn, x=0, y=0, w=200, h=200,
+                               override_redirect=True)
+        w = mapped_window(conn, parent=holder, x=20, y=20, w=50, h=50,
+                          event_mask=EventMask.LeaveWindow)
+        conn.warp_pointer(w, 5, 5)
+        assert server.pointer.window.id == w
+        conn.events()
+        conn.reparent_window(w, conn.root_window(), 10, 10)
+        assert not server.window(w).mapped
+        assert any(isinstance(e, ev.MapRequest) for e in wm.events())
+        assert server.pointer.window.id == holder
+        leaves = conn.flush_events(ev.LeaveNotify)
+        assert [e.window for e in leaves] == [w]
+
 
 class TestKeyboard:
     def test_key_to_pointer_window_with_pointer_root_focus(self, server, conn):

@@ -1,7 +1,9 @@
 """Randomized-operation invariants on the server's window tree.
 
 Hypothesis drives random sequences of create/map/unmap/reparent/
-configure/restack/destroy/shape against one connection and then checks the
+configure/restack/destroy/shape and batched configures against one
+connection, while a second client toggles SubstructureRedirect so some
+maps, configures and reparents are redirected, and then checks the
 global tree invariants a real server maintains, comparing every cached
 answer (root origins, viewability, stacking indexes and hit tests, the
 pointer window, QueryPointer's child, clip regions) with an uncached
@@ -13,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import repro.xserver.events as ev
 from repro.xserver import (
-    NONE, BadMatch, BadValue, BadWindow, Bitmap, ClientConnection, XServer,
+    NONE, BadMatch, BadValue, BadWindow, Bitmap, ClientConnection,
+    EventMask, XServer,
 )
 from repro.xserver.geometry import Rect
 from repro.xserver.region import Region
@@ -23,7 +26,7 @@ OPS = st.sampled_from(
     ["create", "create_child", "map", "unmap", "reparent",
      "move", "resize", "raise", "lower", "destroy",
      "border", "restack_sibling", "move_parent", "warp",
-     "shape", "unshape"]
+     "shape", "unshape", "redirect", "batch"]
 )
 
 
@@ -166,6 +169,7 @@ class TestRandomOps:
     def test_tree_invariants_hold(self, ops):
         server = XServer(screens=[(800, 600, 8)])
         conn = ClientConnection(server)
+        wm = ClientConnection(server, "wm")
         pool = []
         # Start from overlapping mapped top-levels with a child each, so
         # short sequences already restack, move and hit-test real trees.
@@ -264,6 +268,30 @@ class TestRandomOps:
                     wid = pick(a)
                     if wid:
                         conn.shape_window(wid, None)
+                elif op == "redirect":
+                    # The second client starts or stops redirecting the
+                    # children of the root or of a pool window.
+                    wid = conn.root_window() if a % 3 == 0 else pick(b)
+                    if wid:
+                        mask = server.window(wid).mask_for(wm.client_id)
+                        wm.select_input(
+                            wid, mask ^ EventMask.SubstructureRedirect
+                        )
+                elif op == "batch":
+                    with conn.batch():
+                        for i in range(2 + (a + b) % 3):
+                            wid = pick(a + i * b)
+                            if not wid:
+                                continue
+                            if i % 2:
+                                conn.configure_window(
+                                    wid, width=5 + b * 9, height=5 + a * 7,
+                                    stack_mode=ev.ABOVE,
+                                )
+                            else:
+                                conn.move_window(
+                                    wid, a * 13 - 20 + i, b * 11 - 20
+                                )
             except (BadWindow, BadMatch, BadValue):
                 pass
             pool = [wid for wid in pool if conn.window_exists(wid)]
@@ -278,8 +306,6 @@ class TestRandomOps:
         """A second client watching the root never sees events for
         destroyed windows out of order: every DestroyNotify names a
         window already announced by CreateNotify."""
-        from repro.xserver.event_mask import EventMask
-
         server = XServer(screens=[(800, 600, 8)])
         watcher = ClientConnection(server, "watcher")
         watcher.select_input(
