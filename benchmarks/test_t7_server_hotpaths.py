@@ -18,9 +18,12 @@ caches buy us:
   ``query_pointer`` calls re-use cached root origins (hit rate >= 90%
   with motion coalescing disabled, so every event is fully delivered).
 
-A last guard counts SHAPE conversions for one managed oclock (bitmap to
-bands at most twice, never back), so a reintroduced mask round trip on
-the launch path fails by count rather than by timing.
+Two launch-path guards count work by wrapping server internals from
+the test: SHAPE conversions for one managed oclock (bitmap to bands at
+most twice, never back), and the hit tests and exposure passes of one
+manage, which swm does off-screen and shows with a single MapWindow.
+A reintroduced mask round trip, or a frame mapped before it is built,
+fails by count rather than by timing.
 
 Timing cases use pytest-benchmark (group ``t7``); the guards are plain
 asserts on ``server.stats()`` cache counters, so they hold under
@@ -29,7 +32,8 @@ asserts on ``server.stats()`` cache counters, so they hold under
 
 import pytest
 
-from repro.clients import OClock
+from repro import icccm
+from repro.clients import OClock, XTerm
 from repro.xserver import ClientConnection, EventMask, XServer, shape
 
 from .conftest import fresh_server, fresh_wm, report
@@ -238,3 +242,71 @@ def test_t7_shaped_launch_conversion_guard(monkeypatch):
     assert server.shape_query(frame).area() == server.shape_query(app.wid).area()
     assert 1 <= calls["bitmap_region"] <= 2
     assert calls["region_bitmap"] == 0
+
+
+def test_t7_offscreen_frame_guard(monkeypatch):
+    """swm builds a frame's whole window tree unmapped and then maps the
+    frame once.  Managing an xterm, and then a transient dialog, each
+    runs two pointer hit tests (the frame's map and its raise) and one
+    exposure pass, the frame's; the frame's MapNotify follows that of
+    every window inside it.  Mapping the frame before its decoration
+    is built costs a hit test and an exposure pass per decoration
+    window (26 and 10 for a dialog), and fails here."""
+    server = fresh_server()
+    wm = fresh_wm(server)
+    wm.process_pending()
+    hit_tests, exposed, mapped = [], [], []
+
+    def logged(name, log):
+        inner = getattr(XServer, name)
+
+        def wrapper(self, *args):
+            log.append(args[0])
+            return inner(self, *args)
+        monkeypatch.setattr(XServer, name, wrapper)
+
+    logged("_window_at", hit_tests)
+    logged("_expose_tree", exposed)
+    logged("_do_map", mapped)  # each call sends one MapNotify
+
+    def manage(launch):
+        for log in (hit_tests, exposed, mapped):
+            log.clear()
+        wid = launch()
+        wm.process_pending()
+        managed = wm.managed[wid]
+        frame = server.window(managed.frame)
+        before_frame = set(mapped[:mapped.index(frame)])
+        inside = {w for w in mapped if frame.is_ancestor_of(w)}
+        decoration = {
+            server.window(obj.window)
+            for obj in managed.decoration.iter_tree()
+            if obj.window not in (None, managed.frame)
+        }
+        assert decoration and decoration <= inside <= before_frame
+        return wid, len(hit_tests), list(exposed), frame
+
+    dialogs = ClientConnection(server, "dialog")
+
+    def open_dialog():
+        wid = dialogs.create_window(
+            dialogs.root_window(0), 300, 200, 240, 120, border_width=1,
+            event_mask=EventMask.StructureNotify,
+        )
+        icccm.set_wm_class(dialogs, wid, "dialog", "Toolkit")
+        icccm.set_wm_name(dialogs, wid, "dialog")
+        icccm.set_wm_transient_for(dialogs, wid, term)
+        dialogs.map_window(wid)
+        return wid
+
+    term, term_hits, term_exposed, term_frame = manage(
+        lambda: XTerm(server, ["xterm", "-geometry", "80x24+100+100"]).wid
+    )
+    _, dialog_hits, dialog_exposed, dialog_frame = manage(open_dialog)
+    report("T7: one manage, built off-screen", [
+        f"xterm:  hit tests {term_hits}, exposure passes {len(term_exposed)}",
+        f"dialog: hit tests {dialog_hits}, "
+        f"exposure passes {len(dialog_exposed)}",
+    ])
+    assert (term_hits, term_exposed) == (2, [term_frame])
+    assert (dialog_hits, dialog_exposed) == (2, [dialog_frame])

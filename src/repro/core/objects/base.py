@@ -132,7 +132,18 @@ class SwmObject:
         parent_window: int,
         rect: Rect,
     ) -> int:
-        """Create the object's X window inside *parent_window*."""
+        """Create the object's X window inside *parent_window* and map it."""
+        window = self.create(conn, parent_window, rect)
+        conn.map_window(window)
+        return window
+
+    def create(
+        self,
+        conn: "ClientConnection",
+        parent_window: int,
+        rect: Rect,
+    ) -> int:
+        """Create the object's X window inside *parent_window*, unmapped."""
         self.window = conn.create_window(
             parent_window,
             rect.x,
@@ -152,7 +163,6 @@ class SwmObject:
         label = self.display_label()
         if label:
             conn.set_string_property(self.window, LABEL_ATOM, label)
-        conn.map_window(self.window)
         return self.window
 
     def display_label(self) -> Optional[str]:

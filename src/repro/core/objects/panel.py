@@ -119,15 +119,20 @@ class Panel(SwmObject):
         """Create windows for this panel and its whole subtree.
 
         The layout must already be computed (or computable); child
-        rects come from the cached layout.
+        rects come from the cached layout.  Every window below the top
+        one is mapped; the top window is left unmapped for the caller
+        to map once the tree is complete, so the finished tree is
+        exposed in one pass and nothing is mapped on screen half-built.
         """
         if self.layout is None:
             self.compute_layout(size_overrides)
-        window = self.realize(conn, parent_window, rect)
+        window = self.create(conn, parent_window, rect)
         for child in self.children:
             child_rect = self.layout.rect(child.name)
             if isinstance(child, Panel):
-                child.realize_tree(conn, window, child_rect, size_overrides)
+                conn.map_window(
+                    child.realize_tree(conn, window, child_rect, size_overrides)
+                )
             else:
                 child.realize(conn, window, child_rect)
         return window

@@ -66,6 +66,7 @@ class IconifyController(Subsystem):
             for obj in panel.iter_tree():
                 if obj.window is not None:
                     self.wm.object_windows[obj.window] = (obj, None, sc.number)
+            self.conn.map_window(window)
 
     # ------------------------------------------------------------------
     # (De)iconification
@@ -183,6 +184,7 @@ class IconifyController(Subsystem):
         for obj in panel.iter_tree():
             if obj.window is not None:
                 self.wm.object_windows[obj.window] = (obj, managed, sc.number)
+        self.conn.map_window(window)
         return icon
 
     def remove_icon(self, managed: "ManagedWindow") -> None:

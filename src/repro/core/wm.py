@@ -327,6 +327,7 @@ class Swm:
             )
             icccm.set_wm_class(self.conn, window, name, "SwmPanel")
             icccm.set_wm_name(self.conn, window, name)
+            # Still unmapped: manage maps it inside its frame.
             managed = self.manage(window, internal=True)
             if managed is not None:
                 sc.root_panels[name] = managed
@@ -704,6 +705,8 @@ class Swm:
         icccm.set_wm_state(self.conn, client, WMState(NORMAL_STATE))
         self.desktop.set_swm_root(managed)
         self.conn.map_window(client)
+        # The frame was built unmapped: this one MapWindow shows the
+        # finished tree, exposed in a single pass.
         self.conn.map_window(frame)
         self.conn.raise_window(frame)
         self._send_synthetic_configure(managed)

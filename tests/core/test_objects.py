@@ -166,8 +166,11 @@ class TestPanel:
             Rect(10, 10, layout.size.width, layout.size.height),
         )
         assert conn.window_exists(window)
+        # The caller maps the finished tree; everything below is mapped.
+        assert not server.window(window).mapped
         for child in panel.children:
             assert conn.window_exists(child.window)
+            assert server.window(child.window).mapped
             _, parent, _ = conn.query_tree(child.window)
             assert parent == window
 
