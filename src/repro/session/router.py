@@ -51,6 +51,7 @@ from typing import Callable, Dict, List, Optional
 from ..clients import launch_command
 from ..xserver.faults import PARTITION, FaultPlan, ShardCrash, ShardHang
 from ..xserver.shard import DEAD, HEALTHY, HUNG, Shard
+from ..xserver.wire.resilience import backoff
 from .hints import RestartHints
 from .places import parse_places
 
@@ -217,8 +218,8 @@ class DisplayRouter:
         rec.shard_id = None
         rec.app = None
         rec.attempts += 1
-        backoff = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** (rec.attempts - 1)))
-        rec.due = self.ticks + backoff + self._rng.randrange(0, 2)
+        delay = backoff(rec.attempts - 1, BACKOFF_BASE, BACKOFF_CAP)
+        rec.due = self.ticks + delay + self._rng.randrange(0, 2)
         self.deferred.append(rec.cid)
         self.deferred_admissions += 1
 
@@ -320,10 +321,8 @@ class DisplayRouter:
             reason = f"{kind}@{fault.crash_point}"
         shard.health = HUNG if isinstance(fault, ShardHang) else DEAD
         shard.failures += 1
-        backoff = min(
-            BACKOFF_CAP, BACKOFF_BASE * (2 ** (shard.failures - 1))
-        )
-        shard.recover_due = self.ticks + backoff + self._rng.randrange(0, 2)
+        delay = backoff(shard.failures - 1, BACKOFF_BASE, BACKOFF_CAP)
+        shard.recover_due = self.ticks + delay + self._rng.randrange(0, 2)
         record = FailoverRecord(self.ticks, shard.id, reason)
         self.failovers.append(record)
         self._evacuate(shard, record)

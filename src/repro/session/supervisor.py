@@ -36,6 +36,7 @@ from typing import Callable, List, Optional, TYPE_CHECKING
 from ..xserver import trace as trace_mod
 from ..xserver.client import ClientConnection
 from ..xserver.faults import WMCrash
+from ..xserver.wire.resilience import backoff
 from .hints import clear_restart_property, swmhints
 from .places import parse_places
 from .store import SessionStore
@@ -215,12 +216,10 @@ class Supervisor:
                 f"{len(recent) + 1} crashes within {self.storm_window}"
                 " timestamp ticks"
             ) from crash
-        backoff = min(
-            self.backoff_base * (2 ** self._consecutive), self.backoff_cap
-        )
+        wait = backoff(self._consecutive, self.backoff_base, self.backoff_cap)
         self._consecutive += 1
         self.crashes.append(
-            CrashRecord(now, crash.crash_point, backoff, self.cleanup,
+            CrashRecord(now, crash.crash_point, wait, self.cleanup,
                         during_boot)
         )
         # Dump the flight recorder *before* corpse cleanup: the ring
@@ -229,7 +228,7 @@ class Supervisor:
         self._dump_flight(crash, during_boot, storm=False)
         logger.warning(
             "wm crashed at %s (%s); restarting in %d ticks",
-            crash.crash_point, "boot" if during_boot else "run", backoff,
+            crash.crash_point, "boot" if during_boot else "run", wait,
         )
         dead = self.wm
         self.wm = None
@@ -238,7 +237,7 @@ class Supervisor:
             self._cleanup_client(dead.conn.client_id)
         # Simulated wall-clock wait: the backoff burns timestamp ticks,
         # which is also what the storm window is measured in.
-        self.server.timestamp += backoff
+        self.server.timestamp += wait
 
     def _dump_flight(
         self, crash: WMCrash, during_boot: bool, storm: bool
