@@ -35,14 +35,6 @@ from .window import Window
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .server import XServer
 
-#: Requests execute_batch accepts / ClientConnection.batch() buffers.
-#: All three mutate eagerly and defer only notification synthesis;
-#: anything else (queries, maps, destroys...) forces a client-side
-#: flush first so request order is preserved.
-BATCHABLE_REQUESTS = frozenset(
-    {"configure_window", "change_property", "delete_property"}
-)
-
 
 class _PendingConfigure:
     """Deferred notify state for one window's configure run."""

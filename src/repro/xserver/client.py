@@ -24,11 +24,11 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from . import events as ev
-from .batch import BATCHABLE_REQUESTS
 from .bitmap import Bitmap
 from .event_mask import EventMask
 from .faults import ConnectionClosed
 from .properties import PROP_MODE_REPLACE, Property
+from .requests import REQUESTS
 from .server import (
     FOCUS_POINTER_ROOT,
     SAVE_SET_DELETE,
@@ -37,6 +37,9 @@ from .server import (
 )
 from .window import INPUT_OUTPUT
 from .wire.transport import LoopbackTransport, Transport
+
+#: One buffered batch op: (request name, args, kwargs).
+_Op = Tuple[str, tuple, dict]
 
 #: ConfigureWindow keyword -> value-mask bit.
 _CONFIGURE_BITS = {
@@ -90,10 +93,9 @@ class ClientConnection:
         #: the pipeline runs server-side.
         self.pipeline = transport.pipeline
         self.closed = False
-        #: Buffered (name, args, kwargs) ops while a batch() is open.
-        self._batch_ops: Optional[List[Tuple[str, tuple, dict]]] = None
-        #: Result dicts accumulated across the open batch's flushes.
-        self._batch_results: Optional[List[dict]] = None
+        #: While a batch() is open: its buffered (name, args, kwargs)
+        #: ops and the result dicts accumulated across its flushes.
+        self._batch: Optional[Tuple[List[_Op], List[dict]]] = None
 
     # -- connection lifecycle -------------------------------------------------
 
@@ -130,27 +132,27 @@ class ClientConnection:
         return f"<ClientConnection {self.name!r} id={self.client_id}>"
 
     def _request(self, name: str, *args, **kwargs):
-        ops = self._batch_ops
-        if ops is not None:
-            if name in BATCHABLE_REQUESTS:
+        if self._batch is not None:
+            ops, results = self._batch
+            spec = REQUESTS.get(name)
+            if spec is not None and spec.batchable:
                 ops.append((name, args, kwargs))
                 return None
             # A non-batchable request (query, map, destroy...) must see
             # the buffered mutations applied, in order: flush first.
-            self._flush_batch()
+            self._flush_batch(ops, results)
         return self._transport.request(name, args, kwargs)
 
-    def _flush_batch(self) -> None:
-        """Send the buffered batch ops as one execute_batch request
-        (buffering stays on for subsequent requests)."""
-        ops = self._batch_ops
+    def _flush_batch(self, ops: List[_Op], results: List[dict]) -> None:
+        """Send *ops* as one execute_batch request, emptying the list,
+        and add the per-op result dicts to *results*."""
         if not ops:
             return
         pending = list(ops)
         del ops[:]
-        results = self._transport.request("execute_batch", (pending,), {})
-        if self._batch_results is not None and results:
-            self._batch_results.extend(results)
+        sent = self._transport.request("execute_batch", (pending,), {})
+        if sent:
+            results.extend(sent)
 
     @contextmanager
     def batch(self) -> Iterator[List[dict]]:
@@ -166,24 +168,20 @@ class ClientConnection:
         Events produced by a flush are delivered (and handlers run)
         when the flush happens — at the latest when the block exits.
         """
-        outer_results = self._batch_results
-        if outer_results is not None:
-            yield outer_results  # nested: join the outer batch
+        if self._batch is not None:
+            yield self._batch[1]  # nested: join the outer batch
             return
         self._check_alive()
-        ops: List[Tuple[str, tuple, dict]] = []
+        ops: List[_Op] = []
         results: List[dict] = []
-        self._batch_ops = ops
-        self._batch_results = results
+        self._batch = (ops, results)
         try:
             yield results
         finally:
-            self._batch_ops = None
-            self._batch_results = None
-            if ops:
-                sent = self._transport.request("execute_batch", (ops,), {})
-                if sent:
-                    results.extend(sent)
+            # Buffering ends before the last flush: requests that
+            # handlers issue while it is delivered go out unbatched.
+            self._batch = None
+            self._flush_batch(ops, results)
 
     # -- event queue ---------------------------------------------------------
 

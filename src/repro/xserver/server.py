@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import events as ev
 from .atoms import AtomTable
-from .batch import BATCHABLE_REQUESTS, ActiveBatch
+from .batch import ActiveBatch
 from .bitmap import Bitmap
 from .errors import (
     BadAccess,
@@ -64,6 +64,7 @@ from .pipeline import (
 )
 from .properties import PROP_MODE_APPEND, PROP_MODE_REPLACE
 from .quotas import QuotaLimits, QuotaManager
+from .requests import REQUESTS
 from .screen import Screen
 from .stats import ServerStats
 from .trace import Tracer, auto_enable, monotonic_ns
@@ -1219,10 +1220,10 @@ class XServer:
     def execute_batch(self, client_id: int, ops: Sequence) -> List[dict]:
         """Execute a sequence of batchable requests in one flush window.
 
-        Each op is ``(name, args, kwargs)`` with *name* in
-        :data:`~repro.xserver.batch.BATCHABLE_REQUESTS`.  Every op runs
-        through its real entry point — so request ticks, fault draws,
-        quota charges, stats and traces are per logical request,
+        Each op is ``(name, args, kwargs)`` with *name* a request the
+        table in :mod:`repro.xserver.requests` marks batchable.  Every
+        op runs through its real entry point — so request ticks, fault
+        draws, quota charges, stats and traces are per logical request,
         bit-identical to unbatched execution — but event synthesis and
         the pointer refresh are deferred and coalesced (last write wins
         per window / per window+atom) until the batch flushes.
@@ -1253,7 +1254,8 @@ class XServer:
                          "detail": "malformed batch op"}
                     )
                     continue
-                if name not in BATCHABLE_REQUESTS:
+                spec = REQUESTS.get(name)
+                if spec is None or not spec.batchable:
                     results.append(
                         {"ok": False, "error": "BadValue",
                          "detail": f"{name!r} is not batchable"}
@@ -1262,30 +1264,25 @@ class XServer:
                 method = getattr(self, name)
                 tracer = self.tracer
                 started = monotonic_ns() if tracer.enabled else 0
+                notes: Tuple[str, ...] = ("batch",)
                 try:
-                    result = method(client_id, *args, **kwargs)
+                    result = {"ok": True,
+                              "result": method(client_id, *args, **kwargs)}
                 except XError as err:
-                    # Fault/quota boundary: split the batch (anything
-                    # a fired fault rule deferred was already flushed
-                    # in _apply_faults; quota denials split here).
-                    if tracer.enabled:
-                        tracer.record_request(
-                            name, self.timestamp, client_id,
-                            monotonic_ns() - started,
-                            ("batch", "error=" + type(err).__name__),
-                        )
-                    batch.flush(self)
-                    results.append(
-                        {"ok": False, "error": type(err).__name__,
-                         "detail": str(err)}
-                    )
-                    continue
+                    error = type(err).__name__
+                    result = {"ok": False, "error": error, "detail": str(err)}
+                    notes = ("batch", "error=" + error)
                 if tracer.enabled:
                     tracer.record_request(
                         name, self.timestamp, client_id,
-                        monotonic_ns() - started, ("batch",),
+                        monotonic_ns() - started, notes,
                     )
-                results.append({"ok": True, "result": result})
+                if not result["ok"]:
+                    # Fault/quota boundary: split the batch (anything
+                    # a fired fault rule deferred was already flushed
+                    # in _apply_faults; quota denials split here).
+                    batch.flush(self)
+                results.append(result)
         finally:
             self._batch = outer
             if outer is None:

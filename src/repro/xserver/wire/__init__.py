@@ -35,7 +35,6 @@ layer splits that into three sub-layers, mirroring how swm itself is
 
 from .codec import (
     EVENT_OPCODES,
-    REQUEST_OPCODES,
     decode_error,
     decode_event,
     decode_request,
@@ -129,7 +128,6 @@ __all__ = [
     "MAX_FRAME_SIZE",
     "REPLY",
     "REQUEST",
-    "REQUEST_OPCODES",
     "ServerConnection",
     "TcpTransport",
     "Transport",

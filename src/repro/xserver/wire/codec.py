@@ -11,9 +11,9 @@ round-trips exactly — a decoded value compares equal to the original,
 including tuple-vs-list identity and enum types, which is what the
 seeded round-trip suite in ``tests/wire`` asserts.
 
-Requests and events are identified by stable numeric opcodes
-(:data:`REQUEST_OPCODES`, :data:`EVENT_OPCODES`).  Decoding an unknown
-opcode or a malformed payload raises
+Requests and events are identified by stable numeric opcodes (the
+request table in :mod:`repro.xserver.requests`, :data:`EVENT_OPCODES`).
+Decoding an unknown opcode or a malformed payload raises
 :class:`~repro.xserver.wire.frames.WireProtocolError` — a hostile peer
 gets an error reply or a dropped connection, never a server crash.
 """
@@ -21,8 +21,8 @@ gets an error reply or a dropped connection, never a server crash.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields as dataclass_fields
-from typing import Any, Dict, List, Optional, Tuple, Type
+from dataclasses import fields as dataclass_fields
+from typing import Any, Dict, List, Tuple, Type
 
 from .. import events as ev
 from ..bitmap import Bitmap
@@ -31,6 +31,7 @@ from ..event_mask import EventMask
 from ..faults import ConnectionClosed, WMCrash
 from ..properties import Property
 from ..quotas import QuotaExceeded
+from ..requests import REQUESTS, REQUESTS_BY_OPCODE
 from .frames import WireError, WireProtocolError
 
 # -- value tags ----------------------------------------------------------
@@ -380,78 +381,6 @@ def decode_event(payload: bytes) -> ev.Event:
 # -- requests ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RequestSpec:
-    """One entry in the request surface."""
-
-    name: str
-    opcode: int
-    #: Whether the server-side entry point takes the acting client's id
-    #: as its first argument (mutating requests do; reads do not).
-    needs_client_id: bool
-
-
-#: The full ClientConnection request surface, in stable opcode order
-#: (opcode = index + 1).  Append only; never reorder.
-_REQUEST_TABLE: Tuple[Tuple[str, bool], ...] = (
-    ("create_window", True),
-    ("destroy_window", True),
-    ("destroy_subwindows", True),
-    ("map_window", True),
-    ("map_subwindows", True),
-    ("unmap_window", True),
-    ("reparent_window", True),
-    ("configure_window", True),
-    ("circulate_window", True),
-    ("change_window_attributes", True),
-    ("change_property", True),
-    ("get_property", True),
-    ("delete_property", True),
-    ("list_properties", True),
-    ("send_event", True),
-    ("query_tree", False),
-    ("get_geometry", False),
-    ("get_window_attributes", False),
-    ("translate_coordinates", False),
-    ("query_pointer", False),
-    ("window_exists", False),
-    ("set_input_focus", True),
-    ("get_input_focus", False),
-    ("change_save_set", True),
-    ("grab_pointer", True),
-    ("ungrab_pointer", True),
-    ("grab_button", True),
-    ("ungrab_button", True),
-    ("grab_key", True),
-    ("warp_pointer", True),
-    ("shape_set_mask", True),
-    ("window_is_shaped", False),
-    ("intern_atom", False),
-    ("get_atom_name", False),
-    ("root_window", False),
-    ("screen_count", False),
-    ("screen_info", False),
-    ("set_coalescing", False),
-    ("note_drained", False),
-    ("count_discards", False),
-    ("close", False),
-    ("execute_batch", True),
-)
-
-REQUESTS: Dict[str, RequestSpec] = {
-    name: RequestSpec(name, index + 1, needs_cid)
-    for index, (name, needs_cid) in enumerate(_REQUEST_TABLE)
-}
-
-REQUEST_OPCODES: Dict[str, int] = {
-    spec.name: spec.opcode for spec in REQUESTS.values()
-}
-
-_REQUEST_BY_OPCODE: Dict[int, RequestSpec] = {
-    spec.opcode: spec for spec in REQUESTS.values()
-}
-
-
 def encode_request(name: str, args: tuple, kwargs: dict) -> Tuple[int, bytes]:
     """(opcode, payload) for a REQUEST frame."""
     spec = REQUESTS.get(name)
@@ -465,7 +394,7 @@ def encode_request(name: str, args: tuple, kwargs: dict) -> Tuple[int, bytes]:
 
 def decode_request(opcode: int, payload: bytes) -> Tuple[str, tuple, dict]:
     """Decode a REQUEST frame into (name, args, kwargs)."""
-    spec = _REQUEST_BY_OPCODE.get(opcode)
+    spec = REQUESTS_BY_OPCODE.get(opcode)
     if spec is None:
         raise WireProtocolError(f"unknown request opcode {opcode}")
     args, pos = _decode_from(payload, 0)
@@ -557,8 +486,3 @@ def decode_error(payload: bytes) -> Exception:
     if cls is WMCrash:
         return WMCrash(body.get("crash_point", "?"), body.get("client_id"))
     return WireProtocolError(body.get("detail", name))
-
-
-def event_opcode(event_cls: Type[ev.Event]) -> Optional[int]:
-    """The wire opcode for an event class, or None if unregistered."""
-    return EVENT_OPCODES.get(event_cls)

@@ -1,10 +1,6 @@
 """Transport interface, server-side connection record and loopback.
 
-This is the seam the tentpole refactor cut through
-:class:`~repro.xserver.client.ClientConnection`: the old class was both
-the application-facing API *and* the object registered in
-``server.clients``.  Now those are two objects joined by a
-:class:`Transport`:
+A client connection is two objects joined by a :class:`Transport`:
 
 - :class:`ServerConnection` — the server-side record: client id, XID
   range, delivery pipeline and event queue.  This is what
@@ -17,7 +13,7 @@ the application-facing API *and* the object registered in
 - :class:`LoopbackTransport` — the default, zero-latency transport:
   requests dispatch synchronously into the server (no encoding — the
   call graph, RNG draw order and ``plan.log`` of a seeded chaos or fuzz
-  run are bit-identical to the pre-wire behaviour), and the proxy's
+  run are bit-identical to an in-process call), and the proxy's
   event queue *is* the record's queue (one shared deque).
 - :class:`~repro.xserver.wire.tcp.TcpTransport` — the same contract
   over a real socket; see :mod:`repro.xserver.wire.tcp`.
@@ -30,17 +26,17 @@ cannot drift apart semantically.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Sequence
+from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple
 
 from .. import events as ev
-from ..errors import BadValue, BadWindow, XError
+from ..errors import XError
 from ..faults import ConnectionClosed, WMCrash
 from ..pipeline import DROP, EventPipeline
 from ..quotas import QuotaExceeded
+from ..requests import REQUESTS
 from ..server import EventSink, XServer
 from ..trace import monotonic_ns
 from ..xid import XIDRange
-from .codec import REQUESTS
 from .frames import WireProtocolError
 
 
@@ -115,9 +111,6 @@ class ServerConnection(EventSink):
         for type_name in type_names:
             stage.stats.count_dropped(self.client_id, type_name)
 
-    def note_drained(self, remaining: int) -> None:
-        self.server.quotas.note_drained(self.client_id, remaining)
-
 
 def _error_note(err: BaseException) -> str:
     """Classify a request failure for its trace-span annotation."""
@@ -157,19 +150,17 @@ def dispatch_request(
     if not tracer.enabled:
         return _execute_request(server, record, name, args, kwargs)
     started = monotonic_ns()
+    notes: Tuple[str, ...] = ()
     try:
-        result = _execute_request(server, record, name, args, kwargs)
+        return _execute_request(server, record, name, args, kwargs)
     except BaseException as err:
+        notes = (_error_note(err),)
+        raise
+    finally:
         tracer.record_request(
             name, server.timestamp, record.client_id,
-            monotonic_ns() - started, (_error_note(err),),
+            monotonic_ns() - started, notes,
         )
-        raise
-    tracer.record_request(
-        name, server.timestamp, record.client_id,
-        monotonic_ns() - started,
-    )
-    return result
 
 
 def _execute_request(
@@ -182,57 +173,7 @@ def _execute_request(
     spec = REQUESTS.get(name)
     if spec is None:
         raise WireProtocolError(f"unknown request {name!r}")
-    client_id = record.client_id
-    # Requests that do not map 1:1 onto an XServer method.
-    if name == "window_exists":
-        try:
-            server.window(args[0])
-            return True
-        except BadWindow:
-            return False
-    if name == "intern_atom":
-        return server.atoms.intern(*args, **kwargs)
-    if name == "get_atom_name":
-        return server.atoms.name(*args)
-    if name == "root_window":
-        screen = args[0] if args else kwargs.get("screen", 0)
-        return server.root_of_screen(screen).id
-    if name == "screen_count":
-        return len(server.screens)
-    if name == "screen_info":
-        number = args[0] if args else kwargs.get("number", 0)
-        try:
-            screen = server.screens[number]
-        except IndexError:
-            raise BadValue(number, "no such screen") from None
-        return {
-            "number": number,
-            "width": screen.width,
-            "height": screen.height,
-            "root": screen.root.id,
-        }
-    if name == "set_coalescing":
-        record.set_coalescing(bool(args[0]))
-        return None
-    if name == "note_drained":
-        record.note_drained(int(args[0]))
-        return None
-    if name == "count_discards":
-        record.count_discards(list(args[0]))
-        return None
-    if name == "close":
-        server.close_client(client_id)
-        return None
-    method = getattr(server, name)
-    if spec.needs_client_id:
-        result = method(client_id, *args, **kwargs)
-    else:
-        result = method(*args, **kwargs)
-    if name == "create_window":
-        # The server returns its live Window object; the wire reply is
-        # the id the client already chose (never a live object).
-        return args[0]
-    return result
+    return spec.run(server, record, args, kwargs)
 
 
 class Transport:
