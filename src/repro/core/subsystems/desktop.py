@@ -164,7 +164,7 @@ class DesktopController(Subsystem):
         )
         self.update_panner(sc)
         if not managed.is_internal:
-            self.wm.note_session_change()
+            self.wm.note_session_change(managed)
 
     def warp_to_managed(self, managed: "ManagedWindow") -> None:
         """Warp the pointer to a window, panning the desktop so it is
@@ -202,7 +202,7 @@ class DesktopController(Subsystem):
         self.set_swm_root(managed)
         self.update_panner(sc)
         if not managed.is_internal:
-            self.wm.note_session_change()
+            self.wm.note_session_change(managed)
 
     def unstick(self, managed: "ManagedWindow") -> None:
         if not managed.sticky:
@@ -222,7 +222,7 @@ class DesktopController(Subsystem):
         self.set_swm_root(managed)
         self.update_panner(sc)
         if not managed.is_internal:
-            self.wm.note_session_change()
+            self.wm.note_session_change(managed)
 
     def set_swm_root(self, managed: "ManagedWindow") -> None:
         """Maintain the SWM_ROOT property on the client (§6.3): updated

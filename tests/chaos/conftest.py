@@ -16,6 +16,8 @@ import os
 
 import pytest
 
+from repro.core.subsystems.restart import RestartController
+from repro.session.places import collect_entries, format_places
 from repro.session.soak import derive_seed
 
 DEFAULT_SEED = 1337
@@ -29,6 +31,26 @@ def base_seed() -> int:
 def chaos_seed(request) -> int:
     """This test's private seed, derived from CHAOS_SEED + node id."""
     return derive_seed(base_seed(), request.node.nodeid)
+
+
+@pytest.fixture
+def checkpoint_oracle(monkeypatch):
+    """Check every checkpoint the restart controller builds from its
+    entry cache against a fresh snapshot of every client,
+    ``format_places(collect_entries(wm))``.  Yields the checked texts."""
+    checked = []
+    cached_text = RestartController.checkpoint_text
+
+    def checkpoint_text(controller):
+        text = cached_text(controller)
+        assert text == format_places(collect_entries(controller.wm)), (
+            "the checkpoint entry cache drifted from the live session"
+        )
+        checked.append(text)
+        return text
+
+    monkeypatch.setattr(RestartController, "checkpoint_text", checkpoint_text)
+    return checked
 
 
 @pytest.hookimpl(hookwrapper=True)

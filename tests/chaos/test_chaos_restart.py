@@ -159,7 +159,9 @@ def make_workload(sup, server, apps, rng):
     ]
 
 
-def test_supervisor_recovers_at_every_crash_site(chaos_seed, tmp_path):
+def test_supervisor_recovers_at_every_crash_site(
+    chaos_seed, tmp_path, checkpoint_oracle
+):
     server = XServer(screens=[(1152, 900, 8)])
     store = SessionStore(str(tmp_path / "ck"))
 
@@ -247,14 +249,15 @@ def test_supervisor_recovers_at_every_crash_site(chaos_seed, tmp_path):
     sup.pump()
     assert probe.wid in sup.wm.managed
     assert_wm_consistent(sup.wm)
+    assert checkpoint_oracle, "no checkpoint was checked"
     print(
         f"restart chaos: seed={chaos_seed} sites={len(recovered)} "
         f"crashes={len(sup.crashes)} restarts={sup.restarts} "
-        f"checkpoints={store.saves}"
+        f"checkpoints={store.saves} checked={len(checkpoint_oracle)}"
     )
 
 
-def test_crash_tour_is_replayable(chaos_seed, tmp_path):
+def test_crash_tour_is_replayable(chaos_seed, tmp_path, checkpoint_oracle):
     """Same seed → the same crash sites fire at the same timestamps."""
 
     def run(tag):
@@ -295,3 +298,4 @@ def test_crash_tour_is_replayable(chaos_seed, tmp_path):
         return log
 
     assert run("a") == run("b")
+    assert checkpoint_oracle, "no checkpoint was checked"
