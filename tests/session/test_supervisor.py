@@ -9,6 +9,7 @@ against the last checkpoint.
 
 import pytest
 
+from repro import icccm
 from repro.clients import launch_command
 from repro.core.templates import load_template
 from repro.core.wm import Swm
@@ -340,6 +341,33 @@ class TestCheckpointIntegration:
             sup.pump()
         assert store.saves > saves_before
         assert f"+{position.x}+{position.y}" in store.load().text
+
+    @pytest.mark.parametrize("prop", ["WM_COMMAND", "WM_CLIENT_MACHINE"])
+    def test_restart_property_change_is_checkpointed(
+        self, server, tmp_path, prop
+    ):
+        """A client changing how it is restarted (its WM_COMMAND or
+        WM_CLIENT_MACHINE) is on disk within the autosave debounce."""
+        store = SessionStore(str(tmp_path / "ck"))
+        sup = Supervisor(server, store, make_factory(tmp_path))
+        wm = sup.start()
+        xterm = launch_command(server, ["xterm", "-geometry", "+50+60"])
+        sup.pump()
+        assert wm.session.autosave()
+        saves_before = store.saves
+
+        if prop == "WM_COMMAND":
+            icccm.set_wm_command(
+                xterm.conn, xterm.wid, ["xterm", "-title", "renamed"]
+            )
+            wanted = "-cmd 'xterm -title renamed'"
+        else:
+            icccm.set_wm_client_machine(xterm.conn, xterm.wid, "farhost")
+            wanted = "-machine farhost"
+        for _ in range(wm.session.AUTOSAVE_DEBOUNCE + 2):
+            sup.pump()
+        assert store.saves == saves_before + 1
+        assert wanted in store.load().text
 
     def test_no_store_supervisor_still_recovers(self, server, tmp_path):
         """The supervisor works storeless: adoption alone brings the
