@@ -80,7 +80,7 @@ class DecorController(Subsystem):
                 if child.name == "client":
                     managed.client_offset = Point(rect.x, rect.y)
             if managed.resize_corners:
-                self.reposition_corners(managed)
+                self.reposition_corners(managed, layout.size)
 
     # ------------------------------------------------------------------
     # Resize corners
@@ -113,8 +113,9 @@ class DecorController(Subsystem):
             self.conn.lower_window(corner)
             self.wm.corner_windows[corner] = managed
 
-    def reposition_corners(self, managed: "ManagedWindow") -> None:
-        rect = self.wm.frame_rect(managed)
+    def reposition_corners(
+        self, managed: "ManagedWindow", frame_size: Size
+    ) -> None:
         size = self.CORNER_SIZE
         corners = [
             wid
@@ -127,8 +128,8 @@ class DecorController(Subsystem):
                 cx, cy = index % 2, index // 2
                 self.conn.move_window(
                     corner,
-                    (rect.width - size) * cx,
-                    (rect.height - size) * cy,
+                    (frame_size.width - size) * cx,
+                    (frame_size.height - size) * cy,
                 )
                 self.conn.lower_window(corner)
 
@@ -144,13 +145,16 @@ class DecorController(Subsystem):
         if saved is None:
             return
         _, _, cw, ch, _ = self.conn.get_geometry(managed.client)
-        self.conn.move_window(managed.frame, saved.x, saved.y)
-        delta_w = saved.width - self.wm.frame_rect(managed).width
-        delta_h = saved.height - self.wm.frame_rect(managed).height
-        self.wm.resize_managed(managed, cw + delta_w, ch + delta_h)
-        self.conn.move_window(managed.frame, saved.x, saved.y)
+        frame = self.wm.frame_rect(managed)
+        with self.conn.batch():
+            self.wm.resize_client(
+                managed,
+                cw + saved.width - frame.width,
+                ch + saved.height - frame.height,
+            )
+            self.conn.move_window(managed.frame, saved.x, saved.y)
         managed.zoomed = False
-        self.wm._send_synthetic_configure(managed)
+        self.wm.note_configured(managed)
 
     def zoom_managed(self, managed: "ManagedWindow", axis: str = "both") -> None:
         """Expand to the full screen (or one axis for f.hzoom /
@@ -172,12 +176,15 @@ class DecorController(Subsystem):
         new_h = (
             sc.screen.height - deco_h - 2 if axis in ("both", "v") else client.height
         )
-        self.wm.resize_managed(managed, new_w, new_h)
-        new_x = offset.x if axis in ("both", "h") else frame.x
-        new_y = offset.y if axis in ("both", "v") else frame.y
-        self.conn.move_window(managed.frame, new_x, new_y)
+        with self.conn.batch():
+            self.wm.resize_client(managed, new_w, new_h)
+            self.conn.move_window(
+                managed.frame,
+                offset.x if axis in ("both", "h") else frame.x,
+                offset.y if axis in ("both", "v") else frame.y,
+            )
         managed.zoomed = True
-        self.wm._send_synthetic_configure(managed)
+        self.wm.note_configured(managed)
 
     # ------------------------------------------------------------------
     # Title propagation (WM_NAME → decoration "name" object)

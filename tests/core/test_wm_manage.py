@@ -174,6 +174,48 @@ class TestConfigureRequests:
         ]
         assert notifies and (notifies[-1].x, notifies[-1].y) == (300, 250)
 
+    def test_configure_request_gets_one_final_synthetic_notify(
+        self, server, wm
+    ):
+        """A move+resize request is answered by one synthetic
+        ConfigureNotify carrying the final geometry, not one per step
+        with a stale position first."""
+        app = XTerm(server, ["xterm", "-geometry", "+100+100"])
+        app.conn.set_coalescing(False)
+        wm.process_pending()
+        app.conn.events()
+        app.move_resize(300, 250, 400, 300)
+        wm.process_pending()
+        _, _, width, height, _ = app.conn.get_geometry(app.wid)
+        notifies = [
+            (e.x, e.y, e.width, e.height) for e in app.conn.events()
+            if isinstance(e, ev.ConfigureNotify) and e.send_event
+        ]
+        assert notifies == [(300, 250, width, height)]
+        managed = wm.managed[app.wid]
+        assert tuple(wm.client_desktop_position(managed)) == (300, 250)
+
+    @pytest.mark.parametrize("function", ["f.zoom", "f.hzoom", "f.vzoom"])
+    def test_zoom_and_restore_send_one_notify_each(
+        self, server, wm, function
+    ):
+        app = XTerm(server, ["xterm", "-geometry", "+100+100"])
+        app.conn.set_coalescing(False)
+        wm.process_pending()
+        managed = wm.managed[app.wid]
+        for _ in range(2):  # zoom, then restore
+            app.conn.events()
+            wm.execute_string(f"{function}(XTerm)")
+            wm.process_pending()
+            position = wm.client_desktop_position(managed)
+            _, _, width, height, _ = app.conn.get_geometry(app.wid)
+            notifies = [
+                (e.x, e.y, e.width, e.height) for e in app.conn.events()
+                if isinstance(e, ev.ConfigureNotify) and e.send_event
+            ]
+            assert notifies == [(position.x, position.y, width, height)]
+        assert not managed.zoomed
+
     def test_raise_request(self, server, wm):
         a = XTerm(server, ["xterm"])
         b = XClock(server, ["xclock"])
