@@ -803,6 +803,7 @@ class SoakRunner:
                     "oracle_checks": self.oracle_checks,
                     "crashes": len(self.supervisor.crashes),
                     "restarts": self.supervisor.restarts,
+                    "checkpoint_saves": self.store.saves,
                     "crash_storm": storm,
                     "flight_dumps": list(self.supervisor.flight_dumps),
                     "span_count": tracer.spans,

@@ -98,8 +98,10 @@ class TestQuickProfile:
         totals = result["totals"]
         assert set(totals) >= {
             "steps", "requests", "oracle_checks", "crashes", "restarts",
-            "span_count", "signature", "flight_dumps", "wall_s",
+            "checkpoint_saves", "span_count", "signature", "flight_dumps",
+            "wall_s",
         }
+        assert totals["checkpoint_saves"] == runner.store.saves > 0
         json.dumps(result)  # exportable as-is
 
     def test_write_exports_json(self, quick_run, tmp_path):
