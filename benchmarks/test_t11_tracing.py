@@ -43,10 +43,10 @@ def traced_sweep_counters(enabled):
     sweep(server)
     stats = server.stats()
     return {
-        "delivered": stats.delivered_count("MotionNotify"),
-        "coalesced": stats.coalesced_count("MotionNotify"),
-        "dropped": stats.dropped_count(),
-        "requests": stats.total_requests(),
+        "delivered": stats.get("delivered", type="MotionNotify"),
+        "coalesced": stats.get("coalesced", type="MotionNotify"),
+        "dropped": stats.get("dropped"),
+        "requests": stats.get("requests"),
     }
 
 

@@ -65,7 +65,7 @@ def bare_counters(tmp_path):
     sup.start()
     sup.pump()
     drive(server, sup.wm, sup.pump, lambda argv: launch_command(server, argv))
-    return dict(server.stats().requests)
+    return server.stats().snapshot()["requests"]
 
 
 def routed_counters(tmp_path):
@@ -80,7 +80,7 @@ def routed_counters(tmp_path):
         shard.server, shard.wm, router.pump,
         lambda argv: router.place(argv).app,
     )
-    counters = dict(shard.server.stats().requests)
+    counters = shard.server.stats().snapshot()["requests"]
     router.close()
     return counters
 

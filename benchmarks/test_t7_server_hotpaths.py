@@ -160,7 +160,7 @@ def test_t7_flatness_guard():
         sweep(server)  # warm
         server.stats().reset()
         sweep(server)
-        misses = server.stats().cache_misses("geometry")
+        misses = server.stats().cache_counters()["geometry"]["misses"]
         lines.append(f"population={population:3d}  geometry misses: {misses}")
         assert misses == 0
     report("T7: steady-state geometry misses per sweep", lines)
@@ -201,7 +201,7 @@ def test_t7_index_locality_guard():
                 conn.move_window(widgets[(step * 5) % 128],
                                  (step % 16) * 56, (step % 8) * 44)
                 configures += 1
-        rebuilds = server.stats().cache_misses("stacking_index")
+        rebuilds = server.stats().cache_counters()["stacking_index"]["misses"]
         lines.append(f"other parent={other:3d}  configures: {configures}"
                      f"  index rebuilds: {rebuilds}")
         assert rebuilds <= configures // 2

@@ -50,12 +50,12 @@ def contained_sweep_counters(enabled):
     sweep(server)
     stats = server.stats()
     return {
-        "delivered": stats.delivered_count("MotionNotify"),
-        "coalesced": stats.coalesced_count("MotionNotify"),
-        "shed": stats.shed_count(),
-        "throttles": stats.throttle_count(),
-        "denials": stats.quota_denied_count(),
-        "warnings": stats.quota_warning_count(),
+        "delivered": stats.get("delivered", type="MotionNotify"),
+        "coalesced": stats.get("coalesced", type="MotionNotify"),
+        "shed": stats.get("shed"),
+        "throttles": stats.get("throttles"),
+        "denials": stats.get("quota_denials"),
+        "warnings": stats.get("quota_warnings"),
     }
 
 

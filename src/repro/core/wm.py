@@ -414,7 +414,7 @@ class Swm:
 
     def _note_guarded(self, err: XError, where: str) -> None:
         self._guarded_errors += 1
-        self.server.stats().count_guarded(err.name)
+        self.server.stats().inc("guarded", err.name)
         logger.debug("guarded %s in %s: %s", err.name, where, err)
 
     def note_session_change(

@@ -498,7 +498,11 @@ class SoakRunner:
         atom_string = conn.intern_atom("STRING")
         stats = self.server.stats()
         keys = ("parked", "resumed", "replayed_events", "sessions_lost")
-        before = {key: stats.wire_count("framed", key) for key in keys}
+
+        def framed(key: str) -> int:
+            return stats.get("wire", transport="framed", key=key)
+
+        before = {key: framed(key) for key in keys}
         windows = self._link_windows
         for step in range(spec.steps):
             try:
@@ -516,10 +520,7 @@ class SoakRunner:
                 self.supervisor.pump()
             if (step + 1) % self.profile.checkpoint_every == 0:
                 self.checkpoint(f"{spec.name}@{step + 1}")
-        lost = (
-            stats.wire_count("framed", "sessions_lost")
-            - before["sessions_lost"]
-        )
+        lost = framed("sessions_lost") - before["sessions_lost"]
         with plan.suspended():
             if transport.is_alive():
                 missing = [
@@ -540,7 +541,7 @@ class SoakRunner:
             "backoff_delays": len(transport.delays),
             "sessions_lost": lost,
             **{
-                key: stats.wire_count("framed", key) - before[key]
+                key: framed(key) - before[key]
                 for key in keys if key != "sessions_lost"
             },
             "injected": dict(sorted(plan.counts.items())),
@@ -696,16 +697,16 @@ class SoakRunner:
     def _counters(self) -> dict:
         stats = self.server.stats()
         return {
-            "requests": stats.total_requests(),
-            "delivered": stats.delivered_count(),
-            "coalesced": stats.coalesced_count(),
-            "dropped": stats.dropped_count(),
-            "shed": stats.shed_count(),
-            "throttles": stats.throttle_count(),
-            "quota_denials": stats.quota_denied_count(),
-            "injected_faults": stats.injected_count(),
-            "batched": stats.batched_count(),
-            "guarded_errors": stats.guarded_count(),
+            "requests": stats.get("requests"),
+            "delivered": stats.get("delivered"),
+            "coalesced": stats.get("coalesced"),
+            "dropped": stats.get("dropped"),
+            "shed": stats.get("shed"),
+            "throttles": stats.get("throttles"),
+            "quota_denials": stats.get("quota_denials"),
+            "injected_faults": stats.get("injected"),
+            "batched": stats.get("batched"),
+            "guarded_errors": stats.get("guarded"),
         }
 
     def _run_phase(self, spec: PhaseSpec) -> dict:
@@ -798,7 +799,7 @@ class SoakRunner:
                 "phases": phases,
                 "totals": {
                     "steps": self.profile.total_steps(),
-                    "requests": self.server.stats().total_requests(),
+                    "requests": self.server.stats().get("requests"),
                     "denials": self.denials,
                     "oracle_checks": self.oracle_checks,
                     "crashes": len(self.supervisor.crashes),

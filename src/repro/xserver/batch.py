@@ -103,7 +103,7 @@ class ActiveBatch:
         pending, self._pending = self._pending, {}
         stats = server._stats
         for item in pending.values():
-            stats.count_batch_coalesced(item.count - 1)
+            stats.inc("batch_coalesced", n=item.count - 1)
             window = item.window
             if window.destroyed:
                 continue

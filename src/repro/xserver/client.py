@@ -235,7 +235,7 @@ class ClientConnection:
         *of_type* (a class or tuple of classes), or everything when
         None.  Non-matching events are discarded — the discards are
         counted through the instrumentation stage's dropped counter
-        (``stats().dropped_count(...)``), so events a client threw away
+        (``stats().get("dropped", ...)``), so events a client threw away
         itself are visible in the same place as pipeline losses,
         identically over loopback and TCP.  The retained events keep
         their relative delivery order (oldest first) — callers rely on

@@ -503,7 +503,7 @@ class FaultStage(pl.PipelineStage):
         else:
             detail = "discarded"
         plan.record(rule.kind, type_name, self.client_id, detail, rule)
-        self.server.stats().count_injected(rule.kind)
+        self.server.stats().inc("injected", rule.kind)
         delivery.outcome = pl.DROP
 
 

@@ -19,8 +19,8 @@ The fuzzer follows the :class:`~repro.xserver.faults.FaultPlan` RNG
 discipline: one private ``random.Random(seed)``, every decision drawn
 from it in a fixed order, so a (seed, server construction) pair replays
 bit-identically — the containment suite asserts identical
-``server.stats()`` quota/shed/throttle counters across two runs of the
-same seed.  Expected protocol pushback (:class:`XError`, including
+``server.stats()`` ``quota_denials``/``shed``/``throttles`` series
+across two runs of the same seed.  Expected protocol pushback (:class:`XError`, including
 ``QuotaExceeded``, and :class:`ConnectionClosed`) is recorded and
 swallowed; anything else escapes, which is precisely what the tests
 mean by "unhandled exception".

@@ -154,8 +154,8 @@ class BackpressureStage(PipelineStage):
         event = delivery.event
         if quotas.is_throttled(self.client_id):
             delivery.outcome = DROP
-            quotas.note_shed(
-                self.client_id, type(event).__name__, "throttled"
+            quotas.stats.inc(
+                "shed", self.client_id, type(event).__name__, "throttled"
             )
             return
         queue_length = len(queue)
@@ -168,18 +168,23 @@ class BackpressureStage(PipelineStage):
                 if CoalescingStage.coalesce_key(queue[-back]) == key:
                     delivery.outcome = COALESCE
                     delivery.coalesce_index = queue_length - back
-                    quotas.note_force_coalesced(
-                        self.client_id, type(event).__name__
+                    quotas.stats.inc(
+                        "force_coalesced", self.client_id,
+                        type(event).__name__,
                     )
                     return
         if queue_length >= limits.hard_cap:
             quotas.mark_throttled(self.client_id)
             delivery.outcome = DROP
-            quotas.note_shed(self.client_id, type(event).__name__, "capped")
+            quotas.stats.inc(
+                "shed", self.client_id, type(event).__name__, "capped"
+            )
             return
         if isinstance(event, SHEDDABLE_TYPES):
             delivery.outcome = DROP
-            quotas.note_shed(self.client_id, type(event).__name__, "overflow")
+            quotas.stats.inc(
+                "shed", self.client_id, type(event).__name__, "overflow"
+            )
 
 
 class InstrumentationStage(PipelineStage):
@@ -206,11 +211,11 @@ class InstrumentationStage(PipelineStage):
     def process(self, delivery: Delivery) -> None:
         type_name = type(delivery.event).__name__
         if delivery.outcome == DROP:
-            self.stats.count_dropped(self.client_id, type_name)
+            self.stats.inc("dropped", self.client_id, type_name)
         elif delivery.outcome == COALESCE:
-            self.stats.count_coalesced(self.client_id, type_name)
+            self.stats.inc("coalesced", self.client_id, type_name)
         elif delivery.outcome == APPEND:
-            self.stats.count_delivered(self.client_id, type_name)
+            self.stats.inc("delivered", self.client_id, type_name)
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
             tracer.record_event(

@@ -145,13 +145,13 @@ class QuotaManager:
     def mark_throttled(self, client_id: int) -> None:
         if client_id not in self._throttled:
             self._throttled.add(client_id)
-            self.stats.count_throttled(client_id)
+            self.stats.inc("throttles", client_id)
 
     def unthrottle(self, client_id: int) -> None:
         if client_id in self._throttled:
             self._throttled.discard(client_id)
             self._throttle_ages.pop(client_id, None)
-            self.stats.count_unthrottled(client_id)
+            self.stats.inc("unthrottles", client_id)
 
     def note_drained(self, client_id: int, queue_length: int) -> None:
         """A client read from its queue — feed the watchdog and lift
@@ -169,14 +169,14 @@ class QuotaManager:
         count = self.requests_this_tick[client_id] + 1
         self.requests_this_tick[client_id] = count
         if count > limit:
-            self.stats.count_quota_denied(client_id, "requests")
+            self.stats.inc("quota_denials", client_id, "requests")
             raise QuotaExceeded(
                 client_id,
                 f"request rate {count}/tick exceeds quota {limit} ({name})",
             )
         soft = self.limits.soft(limit)
         if soft is not None and count > soft:
-            self.stats.count_quota_warning(client_id, "requests")
+            self.stats.inc("quota_warnings", client_id, "requests")
 
     # -- windows -----------------------------------------------------------
 
@@ -188,13 +188,13 @@ class QuotaManager:
         count = self.windows[client_id] + 1
         if self.enabled and limit is not None:
             if count > limit:
-                self.stats.count_quota_denied(client_id, "windows")
+                self.stats.inc("quota_denials", client_id, "windows")
                 raise QuotaExceeded(
                     client_id, f"live windows {count} exceed quota {limit}"
                 )
             soft = self.limits.soft(limit)
             if soft is not None and count > soft:
-                self.stats.count_quota_warning(client_id, "windows")
+                self.stats.inc("quota_warnings", client_id, "windows")
         self.windows[client_id] = count
 
     def note_window_destroyed(self, owner: Optional[int], wid: int) -> None:
@@ -230,14 +230,14 @@ class QuotaManager:
             if old_client == client_id:
                 total -= old_bytes
             if total > limit:
-                self.stats.count_quota_denied(client_id, "property_bytes")
+                self.stats.inc("quota_denials", client_id, "property_bytes")
                 raise QuotaExceeded(
                     client_id,
                     f"property bytes {total} exceed quota {limit}",
                 )
             soft = self.limits.soft(limit)
             if soft is not None and total > soft:
-                self.stats.count_quota_warning(client_id, "property_bytes")
+                self.stats.inc("quota_warnings", client_id, "property_bytes")
         return (old_client, old_bytes, result)
 
     def commit_property(
@@ -288,21 +288,13 @@ class QuotaManager:
             return
         count = grabs.count_for_client(client_id) + 1
         if count > limit:
-            self.stats.count_quota_denied(client_id, "grabs")
+            self.stats.inc("quota_denials", client_id, "grabs")
             raise QuotaExceeded(
                 client_id, f"pending grabs {count} exceed quota {limit}"
             )
         soft = self.limits.soft(limit)
         if soft is not None and count > soft:
-            self.stats.count_quota_warning(client_id, "grabs")
-
-    # -- shedding bookkeeping (BackpressureStage) --------------------------
-
-    def note_shed(self, client_id: int, type_name: str, reason: str) -> None:
-        self.stats.count_shed(client_id, type_name, reason)
-
-    def note_force_coalesced(self, client_id: int, type_name: str) -> None:
-        self.stats.count_force_coalesced(client_id, type_name)
+            self.stats.inc("quota_warnings", client_id, "grabs")
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -278,7 +278,7 @@ class XServer:
         # happened yet when _tick runs).
         caller = sys._getframe(1)
         name = caller.f_code.co_name
-        self._stats.count_request(name)
+        self._stats.inc("requests", name)
         if self._trace is not None:
             self._trace.append((self.timestamp, name))
         client_id = caller.f_locals.get("client_id")
@@ -365,7 +365,7 @@ class XServer:
         tracer = self.tracer
         if rule.kind == FAULT_ERROR:
             plan.record(FAULT_ERROR, request, client_id, rule.error, rule)
-            self._stats.count_injected(FAULT_ERROR)
+            self._stats.inc("injected", FAULT_ERROR)
             if tracer.enabled:
                 tracer.note_fault(
                     FAULT_ERROR, request, self.timestamp, client_id,
@@ -379,7 +379,7 @@ class XServer:
                 rule.fires -= 1  # no connection to kill
                 return
             plan.record(FAULT_KILL, request, client_id, f"kill {rule.when}", rule)
-            self._stats.count_injected(FAULT_KILL)
+            self._stats.inc("injected", FAULT_KILL)
             if tracer.enabled:
                 tracer.note_fault(
                     FAULT_KILL, request, self.timestamp, client_id,
@@ -394,7 +394,7 @@ class XServer:
             plan.record(
                 FAULT_CRASH, request, client_id, "wm process died", rule
             )
-            self._stats.count_injected(FAULT_CRASH)
+            self._stats.inc("injected", FAULT_CRASH)
             if tracer.enabled:
                 tracer.note_fault(
                     FAULT_CRASH, request, self.timestamp, client_id,
@@ -415,7 +415,7 @@ class XServer:
                 else "shard stopped answering"
             )
             plan.record(rule.kind, request, client_id, detail, rule)
-            self._stats.count_injected(rule.kind)
+            self._stats.inc("injected", rule.kind)
             if tracer.enabled:
                 tracer.note_fault(
                     rule.kind, request, self.timestamp, client_id, detail
@@ -431,7 +431,7 @@ class XServer:
             plan.record(
                 FAULT_STALE, request, client_id, f"destroyed {target.id:#x}", rule
             )
-            self._stats.count_injected(FAULT_STALE)
+            self._stats.inc("injected", FAULT_STALE)
             if tracer.enabled:
                 tracer.note_fault(
                     FAULT_STALE, request, self.timestamp, client_id,
@@ -450,7 +450,7 @@ class XServer:
                 FAULT_FLOOD, request, client_id,
                 f"storm burst={rule.burst}", rule,
             )
-            self._stats.count_injected(FAULT_FLOOD)
+            self._stats.inc("injected", FAULT_FLOOD)
             if tracer.enabled:
                 tracer.note_fault(
                     FAULT_FLOOD, request, self.timestamp, client_id,
@@ -540,7 +540,7 @@ class XServer:
         for client_id in quotas.age_throttled(self.clients):
             if self.grabs.count_for_client(client_id):
                 self.grabs.drop_client(client_id)
-                self._stats.count_grab_broken("passive-throttled")
+                self._stats.inc("grabs_broken", "passive-throttled")
         grab = self.active_grab
         if grab is None:
             return
@@ -566,7 +566,7 @@ class XServer:
         UngrabPointer — the WM already handles these."""
         previous = self.pointer.window
         self.active_grab = None
-        self._stats.count_grab_broken(reason)
+        self._stats.inc("grabs_broken", reason)
         self._refresh_pointer_window()
         if self.pointer.window is previous and previous is not None:
             # The pointer window did not change, but clients under the
@@ -854,7 +854,7 @@ class XServer:
         if len(rects) == 1 and rects[0] == Rect(
             origin.x, origin.y, rect.width, rect.height
         ):
-            self._stats.count_damage_rects(1)
+            self._stats.inc("damage_rects")
             self._deliver(
                 window,
                 ev.Expose(
@@ -863,7 +863,7 @@ class XServer:
                 EventMask.Exposure,
             )
             return
-        self._stats.count_damage_rects(len(rects))
+        self._stats.inc("damage_rects", n=len(rects))
         remaining = len(rects)
         for damage in rects:
             remaining -= 1
@@ -1239,7 +1239,7 @@ class XServer:
         # joins the open flush window instead of failing.
         outer = self._batch
         batch = outer if outer is not None else ActiveBatch()
-        self._stats.count_batched(len(ops))
+        self._stats.inc("batched", n=len(ops))
         self._batch = batch
         results: List[dict] = []
         try:

@@ -2,355 +2,122 @@
 
 The paper's Virtual Desktop (§6) turns one user gesture — a pan — into
 a flood of protocol traffic.  To make "as fast as the hardware allows"
-measurable rather than aspirational, the server keeps cheap counters:
+measurable, the server keeps cheap counters, each one *series* of
+:data:`SERIES`: a name and the labels that key it.  Layers write with
+``stats.inc(name, *labels)``; ``stats.get(name, **labels)`` reads,
+summing over the labels it is not given::
 
-- **requests**: every protocol request by name (one count per public
-  :class:`~repro.xserver.server.XServer` entry point),
-- **delivered**: every event that actually lands on a client's queue,
-  per event type and per client,
-- **coalesced**: events absorbed by the pipeline's coalescing stage
-  (see :mod:`repro.xserver.pipeline`) instead of being delivered,
-- **dropped**: events discarded by a pipeline stage — fault injection
-  (:mod:`repro.xserver.faults`), backpressure shedding
-  (:mod:`repro.xserver.quotas`), and events a client itself threw away
-  via ``ClientConnection.flush_events`` all land here,
-- **shed / force_coalesced / throttles**: the containment layer's
-  backpressure decisions (see :mod:`repro.xserver.quotas`): events shed
-  past the high-water mark (also counted in *dropped*), events
-  force-coalesced into an earlier queue entry, and clients throttled at
-  the hard cap / unthrottled after draining,
-- **quota_denials / quota_warnings**: per-client hard-limit breaches
-  (each one raised a ``QuotaExceeded`` to the offender) and soft-band
-  crossings, by resource kind,
-- **grabs_broken**: grabs the watchdog broke, by reason,
-- **injected_faults**: faults the installed
-  :class:`~repro.xserver.faults.FaultPlan` actually applied, by kind,
-- **guarded_errors**: X errors the window manager absorbed through its
-  ``guarded()`` degradation wrapper, by error name,
-- **caches**: hit/miss/invalidation counts for the window tree's
-  geometry, visibility, stacking-index, interest, and visible-region
-  caches (see :class:`repro.xserver.window.TreeCaches`), one cache
-  bundle per screen, aggregated here,
-- **batched / batch_coalesced / damage_rects**: batched-execution and
-  damage accounting — logical requests executed inside
-  ``execute_batch`` flush windows, notifications squashed by batch
-  coalescing (see :mod:`repro.xserver.batch`), and Expose damage
-  rectangles delivered by the region layer.
+    stats.inc("delivered", client_id, "MotionNotify")
+    stats.get("delivered", type="MotionNotify")     # every client
+    stats.get("wire", transport="tcp", key="bytes_in")
 
-``delivered + coalesced`` for a type is therefore the *raw* event count
-the server produced; ``delivered`` is what clients really had to read.
-Query via ``server.stats()``.
-
-When the server's structured tracer is enabled (see
-:mod:`repro.xserver.trace`), ``snapshot()["trace"]`` additionally
-carries per-opcode and per-subsystem latency histograms (p50/p95/p99),
-event/fault span counts and the deterministic span-sequence signature.
+``get`` refuses a series or label name :data:`SERIES` does not declare,
+so a misspelt read raises ``KeyError`` instead of reading 0; label
+*values* stay open (transports and wire keys appear at run time).
+``delivered + coalesced`` for a type is the *raw* event count the
+server produced; ``delivered`` is what clients really had to read.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 #: Cache families reported by :meth:`ServerStats.cache_counters`.
 CACHE_KINDS = (
     "geometry", "visibility", "stacking_index", "interest", "region"
 )
 
+#: Every counter series: name -> the labels that key it, in order.
+SERIES: Dict[str, Tuple[str, ...]] = {
+    # One per request through a public XServer entry point.
+    "requests": ("name",),
+    # Pipeline outcomes (repro.xserver.pipeline): appended to a queue,
+    # absorbed by coalescing, or discarded (fault injection, shedding,
+    # ClientConnection.flush_events).
+    "delivered": ("client", "type"),
+    "coalesced": ("client", "type"),
+    "dropped": ("client", "type"),
+    # Backpressure (repro.xserver.quotas): sheds past high water (also
+    # dropped), force-coalesces into an earlier queue entry, throttle
+    # transitions; hard-quota denials and soft-band warnings by kind.
+    "shed": ("client", "type", "reason"),
+    "force_coalesced": ("client", "type"),
+    "throttles": ("client",),
+    "unthrottles": ("client",),
+    "quota_denials": ("client", "kind"),
+    "quota_warnings": ("client", "kind"),
+    "grabs_broken": ("reason",),  # by the grab watchdog
+    "injected": ("kind",),  # faults an installed FaultPlan applied
+    "guarded": ("error",),  # X errors the WM's guarded() absorbed
+    # Per transport ("loopback", "tcp", "framed"): frames_in/out,
+    # bytes_in/out, pauses/resumes, protocol_errors and, with
+    # resilience, the session lifecycle (repro.xserver.wire.resilience).
+    "wire": ("transport", "key"),
+    # Requests run inside execute_batch flush windows, notifications
+    # batch coalescing squashed, Expose damage rects delivered.
+    "batched": (),
+    "batch_coalesced": (),
+    "damage_rects": (),
+}
+
 
 class ServerStats:
-    """Mutable counter bundle owned by one :class:`XServer`."""
+    """Counters owned by one :class:`XServer`: a Counter per series,
+    keyed by label tuple.  The window tree's cache counters stay slots
+    on :class:`~repro.xserver.window.TreeCaches`, bumped many times per
+    request where a keyed update would cost ~10x; they are summed here
+    on read."""
 
     def __init__(self) -> None:
-        self.requests: Counter = Counter()
-        self.delivered: Counter = Counter()
-        self.coalesced: Counter = Counter()
-        self.delivered_by_client: Dict[int, Counter] = {}
-        self.coalesced_by_client: Dict[int, Counter] = {}
-        #: Events discarded in the pipeline (fault injection), by type.
-        self.dropped: Counter = Counter()
-        self.dropped_by_client: Dict[int, Counter] = {}
-        #: Faults applied by an installed FaultPlan, by fault kind.
-        self.injected: Counter = Counter()
-        #: X errors absorbed by the WM's guarded() wrapper, by error name.
-        self.guarded: Counter = Counter()
-        #: Events shed by the backpressure stage, by type / client / reason.
-        self.shed: Counter = Counter()
-        self.shed_by_client: Dict[int, Counter] = {}
-        self.shed_reasons: Counter = Counter()
-        #: Events force-coalesced into an earlier queue entry, by type.
-        self.force_coalesced: Counter = Counter()
-        #: Throttle transitions, per client.
-        self.throttles: Counter = Counter()
-        self.unthrottles: Counter = Counter()
-        #: Hard-quota denials and soft-band warnings: client -> kind count.
-        self.quota_denials: Dict[int, Counter] = {}
-        self.quota_warnings: Dict[int, Counter] = {}
-        #: Grabs broken by the watchdog, by reason.
-        self.grabs_broken: Counter = Counter()
-        #: Per-transport wire counters ("loopback", "tcp", "framed"):
-        #: frames_in/out, bytes_in/out, write pauses/resumes (the TCP
-        #: shadow of BackpressureStage throttling) and protocol_errors
-        #: (malformed frames a peer sent).  With resilience enabled the
-        #: lifecycle counters land here too: pings_out/pongs_in,
-        #: heartbeat_misses, peers_reaped, parked, resumed,
-        #: resume_rejected, replayed_events, replayed_replies,
-        #: park_expired, sessions_lost, and fault_<kind> for injected
-        #: link faults (see repro.xserver.wire.resilience).
-        self.wire: Dict[str, Counter] = {}
-        #: Logical requests executed inside execute_batch flush windows.
-        self.batched = 0
-        #: Notifications squashed by batch coalescing (per-key count - 1).
-        self.batch_coalesced = 0
-        #: Expose damage rectangles delivered by the region layer.
-        self.damage_rects = 0
+        self._series: Dict[str, Counter] = {name: Counter() for name in SERIES}
         #: TreeCaches bundles registered by the server (one per screen).
         self._cache_trees: List = []
-        #: Attached structured tracer (see repro.xserver.trace), whose
-        #: latency histograms surface under snapshot()["trace"].
+        #: Structured tracer (repro.xserver.trace), see attach_tracer.
         self.tracer = None
 
     def track_cache(self, caches) -> None:
-        """Register a :class:`~repro.xserver.window.TreeCaches` so its
-        counters are aggregated into this stats object."""
+        """Aggregate a :class:`~repro.xserver.window.TreeCaches`."""
         self._cache_trees.append(caches)
 
     def attach_tracer(self, tracer) -> None:
-        """Register the server's :class:`~repro.xserver.trace.Tracer`
-        so its per-opcode / per-subsystem latency histograms appear in
-        :meth:`snapshot` under the ``"trace"`` key."""
+        """Report the server's :class:`~repro.xserver.trace.Tracer`
+        latency histograms under ``snapshot()["trace"]``."""
         self.tracer = tracer
 
-    # -- recording (hot path: keep these tiny) ----------------------------
+    def inc(self, name: str, *labels, n: int = 1) -> None:
+        """Add *n* to series *name* at *labels* (in :data:`SERIES`
+        order).  Hot path: one dict lookup and one Counter update."""
+        self._series[name][labels] += n
 
-    def count_request(self, name: str) -> None:
-        self.requests[name] += 1
-
-    def count_delivered(self, client_id: int, type_name: str) -> None:
-        self.delivered[type_name] += 1
-        per_client = self.delivered_by_client.get(client_id)
-        if per_client is None:
-            per_client = self.delivered_by_client[client_id] = Counter()
-        per_client[type_name] += 1
-
-    def count_coalesced(self, client_id: int, type_name: str) -> None:
-        self.coalesced[type_name] += 1
-        per_client = self.coalesced_by_client.get(client_id)
-        if per_client is None:
-            per_client = self.coalesced_by_client[client_id] = Counter()
-        per_client[type_name] += 1
-
-    def count_dropped(self, client_id: int, type_name: str) -> None:
-        self.dropped[type_name] += 1
-        per_client = self.dropped_by_client.get(client_id)
-        if per_client is None:
-            per_client = self.dropped_by_client[client_id] = Counter()
-        per_client[type_name] += 1
-
-    def count_injected(self, kind: str) -> None:
-        self.injected[kind] += 1
-
-    def count_guarded(self, error_name: str) -> None:
-        self.guarded[error_name] += 1
-
-    def count_shed(self, client_id: int, type_name: str, reason: str) -> None:
-        self.shed[type_name] += 1
-        per_client = self.shed_by_client.get(client_id)
-        if per_client is None:
-            per_client = self.shed_by_client[client_id] = Counter()
-        per_client[type_name] += 1
-        self.shed_reasons[reason] += 1
-
-    def count_force_coalesced(self, client_id: int, type_name: str) -> None:
-        self.force_coalesced[type_name] += 1
-
-    def count_throttled(self, client_id: int) -> None:
-        self.throttles[client_id] += 1
-
-    def count_unthrottled(self, client_id: int) -> None:
-        self.unthrottles[client_id] += 1
-
-    def count_quota_denied(self, client_id: int, kind: str) -> None:
-        per_client = self.quota_denials.get(client_id)
-        if per_client is None:
-            per_client = self.quota_denials[client_id] = Counter()
-        per_client[kind] += 1
-
-    def count_quota_warning(self, client_id: int, kind: str) -> None:
-        per_client = self.quota_warnings.get(client_id)
-        if per_client is None:
-            per_client = self.quota_warnings[client_id] = Counter()
-        per_client[kind] += 1
-
-    def count_grab_broken(self, reason: str) -> None:
-        self.grabs_broken[reason] += 1
-
-    def count_wire(self, transport: str, key: str, amount: int = 1) -> None:
-        counter = self.wire.get(transport)
-        if counter is None:
-            counter = self.wire[transport] = Counter()
-        counter[key] += amount
-
-    def count_batched(self, amount: int) -> None:
-        self.batched += amount
-
-    def count_batch_coalesced(self, amount: int) -> None:
-        self.batch_coalesced += amount
-
-    def count_damage_rects(self, amount: int) -> None:
-        self.damage_rects += amount
-
-    # -- querying ---------------------------------------------------------
-
-    def requests_of(self, name: str) -> int:
-        return self.requests[name]
-
-    def total_requests(self) -> int:
-        return sum(self.requests.values())
-
-    def delivered_count(
-        self, type_name: Optional[str] = None, client_id: Optional[int] = None
-    ) -> int:
-        """Events delivered, optionally narrowed by type and/or client."""
-        source = (
-            self.delivered
-            if client_id is None
-            else self.delivered_by_client.get(client_id, Counter())
-        )
-        if type_name is None:
-            return sum(source.values())
-        return source[type_name]
-
-    def coalesced_count(
-        self, type_name: Optional[str] = None, client_id: Optional[int] = None
-    ) -> int:
-        """Events absorbed by coalescing instead of delivered."""
-        source = (
-            self.coalesced
-            if client_id is None
-            else self.coalesced_by_client.get(client_id, Counter())
-        )
-        if type_name is None:
-            return sum(source.values())
-        return source[type_name]
-
-    def raw_count(
-        self, type_name: Optional[str] = None, client_id: Optional[int] = None
-    ) -> int:
-        """Events the server produced for clients before coalescing."""
-        return self.delivered_count(type_name, client_id) + self.coalesced_count(
-            type_name, client_id
-        )
-
-    def dropped_count(
-        self, type_name: Optional[str] = None, client_id: Optional[int] = None
-    ) -> int:
-        """Events discarded in the pipeline (fault injection)."""
-        source = (
-            self.dropped
-            if client_id is None
-            else self.dropped_by_client.get(client_id, Counter())
-        )
-        if type_name is None:
-            return sum(source.values())
-        return source[type_name]
-
-    def injected_count(self, kind: Optional[str] = None) -> int:
-        """Faults an installed FaultPlan applied, optionally by kind."""
-        if kind is None:
-            return sum(self.injected.values())
-        return self.injected[kind]
-
-    def guarded_count(self, error_name: Optional[str] = None) -> int:
-        """X errors absorbed by the WM's guarded() degradation paths."""
-        if error_name is None:
-            return sum(self.guarded.values())
-        return self.guarded[error_name]
-
-    def shed_count(
-        self, type_name: Optional[str] = None, client_id: Optional[int] = None
-    ) -> int:
-        """Events shed by backpressure (a subset of dropped_count)."""
-        source = (
-            self.shed
-            if client_id is None
-            else self.shed_by_client.get(client_id, Counter())
-        )
-        if type_name is None:
-            return sum(source.values())
-        return source[type_name]
-
-    def throttle_count(self, client_id: Optional[int] = None) -> int:
-        """Throttled transitions (hard-cap breaches), optionally per client."""
-        if client_id is None:
-            return sum(self.throttles.values())
-        return self.throttles[client_id]
-
-    def quota_denied_count(
-        self, client_id: Optional[int] = None, kind: Optional[str] = None
-    ) -> int:
-        """Hard-quota denials, optionally narrowed by client and/or kind."""
-        sources = (
-            self.quota_denials.values()
-            if client_id is None
-            else [self.quota_denials.get(client_id, Counter())]
-        )
+    def get(self, name: str, /, **labels) -> int:
+        """Series *name* at the given labels, summed over the rest."""
+        if name not in SERIES:
+            raise KeyError(f"unknown stats series {name!r}")
+        names = SERIES[name]
+        for label in labels:
+            if label not in names:
+                raise KeyError(f"stats series {name!r} has no {label!r}")
+        series = self._series[name]
+        if len(labels) == len(names):
+            return series[tuple(labels[label] for label in names)]
+        wanted = [(names.index(label), v) for label, v in labels.items()]
         return sum(
-            sum(c.values()) if kind is None else c[kind] for c in sources
+            count for key, count in series.items()
+            if all(key[i] == value for i, value in wanted)
         )
 
-    def quota_warning_count(
-        self, client_id: Optional[int] = None, kind: Optional[str] = None
-    ) -> int:
-        """Soft-band warnings, optionally narrowed by client and/or kind."""
-        sources = (
-            self.quota_warnings.values()
-            if client_id is None
-            else [self.quota_warnings.get(client_id, Counter())]
-        )
-        return sum(
-            sum(c.values()) if kind is None else c[kind] for c in sources
-        )
-
-    def grabs_broken_count(self, reason: Optional[str] = None) -> int:
-        """Grabs the watchdog broke, optionally by reason."""
-        if reason is None:
-            return sum(self.grabs_broken.values())
-        return self.grabs_broken[reason]
-
-    def batched_count(self) -> int:
-        """Logical requests executed inside batch flush windows."""
-        return self.batched
-
-    def batch_coalesced_count(self) -> int:
-        """Notifications batch coalescing squashed away."""
-        return self.batch_coalesced
-
-    def damage_rect_count(self) -> int:
-        """Expose damage rectangles delivered by the region layer."""
-        return self.damage_rects
-
-    def wire_count(
-        self, transport: Optional[str] = None, key: Optional[str] = None
-    ) -> int:
-        """Wire-layer counters, optionally narrowed by transport name
-        ("loopback", "tcp", "framed") and/or counter key: the byte/frame
-        counters (``frames_in``, ``frames_out``, ``bytes_in``,
-        ``bytes_out``, ``pauses``, ``resumes``, ``protocol_errors``)
-        plus the resilience lifecycle (``pings_out``, ``pongs_in``,
-        ``heartbeat_misses``, ``peers_reaped``, ``parked``,
-        ``resumed``, ``resume_rejected``, ``replayed_events``,
-        ``replayed_replies``, ``park_expired``, ``sessions_lost``)."""
-        sources = (
-            self.wire.values()
-            if transport is None
-            else [self.wire.get(transport, Counter())]
-        )
-        return sum(
-            sum(c.values()) if key is None else c[key] for c in sources
-        )
-
-    # -- cache counters -----------------------------------------------------
+    def _by(self, name: str, *labels: str) -> dict:
+        """Series *name* summed onto *labels*, nested in that order."""
+        positions = [SERIES[name].index(label) for label in labels]
+        *outer, leaf = positions
+        out: dict = {}
+        for key, count in self._series[name].items():
+            node = out
+            for i in outer:
+                node = node.setdefault(key[i], {})
+            node[key[leaf]] = node.get(key[leaf], 0) + count
+        return out
 
     def cache_counters(self) -> Dict[str, Dict[str, int]]:
         """Hit/miss/invalidation counts per cache family, summed over
@@ -366,68 +133,43 @@ class ServerStats:
                     bucket[key] += value
         return totals
 
-    def cache_hits(self, kind: Optional[str] = None) -> int:
-        return self._cache_total("hits", kind)
-
-    def cache_misses(self, kind: Optional[str] = None) -> int:
-        return self._cache_total("misses", kind)
-
-    def cache_invalidations(self, kind: Optional[str] = None) -> int:
-        return self._cache_total("invalidations", kind)
-
     def cache_hit_rate(self, kind: Optional[str] = None) -> float:
         """hits / (hits + misses), optionally for one cache family;
         1.0 when there were no accesses at all."""
-        hits = self.cache_hits(kind)
-        misses = self.cache_misses(kind)
-        accesses = hits + misses
-        return hits / accesses if accesses else 1.0
-
-    def _cache_total(self, key: str, kind: Optional[str]) -> int:
         counters = self.cache_counters()
-        if kind is not None:
-            if kind not in counters:
-                raise KeyError(f"unknown cache kind {kind!r}")
-            return counters[kind][key]
-        return sum(bucket[key] for bucket in counters.values())
+        buckets = [counters[kind]] if kind else list(counters.values())
+        hits = sum(bucket["hits"] for bucket in buckets)
+        accesses = hits + sum(bucket["misses"] for bucket in buckets)
+        return hits / accesses if accesses else 1.0
 
     def snapshot(self) -> dict:
         """A plain-dict copy, convenient for reports and assertions."""
+        by = self._by
         return {
-            "requests": dict(self.requests),
-            "delivered": dict(self.delivered),
-            "coalesced": dict(self.coalesced),
-            "delivered_by_client": {
-                cid: dict(c) for cid, c in self.delivered_by_client.items()
-            },
-            "coalesced_by_client": {
-                cid: dict(c) for cid, c in self.coalesced_by_client.items()
-            },
-            "dropped": dict(self.dropped),
-            "injected_faults": dict(self.injected),
-            "guarded_errors": dict(self.guarded),
+            "requests": by("requests", "name"),
+            "delivered": by("delivered", "type"),
+            "coalesced": by("coalesced", "type"),
+            "delivered_by_client": by("delivered", "client", "type"),
+            "coalesced_by_client": by("coalesced", "client", "type"),
+            "dropped": by("dropped", "type"),
+            "injected_faults": by("injected", "kind"),
+            "guarded_errors": by("guarded", "error"),
             "quotas": {
-                "denials": {
-                    cid: dict(c) for cid, c in self.quota_denials.items()
-                },
-                "warnings": {
-                    cid: dict(c) for cid, c in self.quota_warnings.items()
-                },
-                "shed": dict(self.shed),
-                "shed_by_client": {
-                    cid: dict(c) for cid, c in self.shed_by_client.items()
-                },
-                "shed_reasons": dict(self.shed_reasons),
-                "force_coalesced": dict(self.force_coalesced),
-                "throttles": dict(self.throttles),
-                "unthrottles": dict(self.unthrottles),
-                "grabs_broken": dict(self.grabs_broken),
+                "denials": by("quota_denials", "client", "kind"),
+                "warnings": by("quota_warnings", "client", "kind"),
+                "shed": by("shed", "type"),
+                "shed_by_client": by("shed", "client", "type"),
+                "shed_reasons": by("shed", "reason"),
+                "force_coalesced": by("force_coalesced", "type"),
+                "throttles": by("throttles", "client"),
+                "unthrottles": by("unthrottles", "client"),
+                "grabs_broken": by("grabs_broken", "reason"),
             },
-            "wire": {name: dict(c) for name, c in self.wire.items()},
+            "wire": by("wire", "transport", "key"),
             "batch": {
-                "batched": self.batched,
-                "coalesced": self.batch_coalesced,
-                "damage_rects": self.damage_rects,
+                "batched": self.get("batched"),
+                "coalesced": self.get("batch_coalesced"),
+                "damage_rects": self.get("damage_rects"),
             },
             "caches": self.cache_counters(),
             "trace": (
@@ -442,34 +184,14 @@ class ServerStats:
         """Zero every counter (benchmarks bracket measured regions).
         Cache *counters* reset too; the invalidation clocks do not, so
         cached state stays valid across a reset."""
-        self.requests.clear()
-        self.delivered.clear()
-        self.coalesced.clear()
-        self.delivered_by_client.clear()
-        self.coalesced_by_client.clear()
-        self.dropped.clear()
-        self.dropped_by_client.clear()
-        self.injected.clear()
-        self.guarded.clear()
-        self.shed.clear()
-        self.shed_by_client.clear()
-        self.shed_reasons.clear()
-        self.force_coalesced.clear()
-        self.throttles.clear()
-        self.unthrottles.clear()
-        self.quota_denials.clear()
-        self.quota_warnings.clear()
-        self.grabs_broken.clear()
-        self.wire.clear()
-        self.batched = 0
-        self.batch_coalesced = 0
-        self.damage_rects = 0
+        for series in self._series.values():
+            series.clear()
         for caches in self._cache_trees:
             caches.reset_counters()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<ServerStats requests={self.total_requests()} "
-            f"delivered={self.delivered_count()} "
-            f"coalesced={self.coalesced_count()}>"
+            f"<ServerStats requests={self.get('requests')} "
+            f"delivered={self.get('delivered')} "
+            f"coalesced={self.get('coalesced')}>"
         )

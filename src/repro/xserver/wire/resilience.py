@@ -426,7 +426,7 @@ class WireSession:
         for frame in frames:
             if self.finished:
                 return
-            self._stats.count_wire(self.transport_name, "frames_in")
+            self._stats.inc("wire", self.transport_name, "frames_in")
             try:
                 self._handle_frame(frame)
             except WireProtocolError as err:
@@ -445,7 +445,7 @@ class WireSession:
             self._send(PONG, 0, frame.payload)
             return
         if frame.kind == PONG:
-            self._stats.count_wire(self.transport_name, "pongs_in")
+            self._stats.inc("wire", self.transport_name, "pongs_in")
             return
         if self.record is None:
             if frame.kind == HELLO:
@@ -561,8 +561,8 @@ class WireSession:
         for seq, opcode, payload in replay:
             self._send(EVENT, opcode, SEQ.pack(seq) + payload)
         if replay:
-            self._stats.count_wire(
-                self.transport_name, "replayed_events", len(replay)
+            self._stats.inc(
+                "wire", self.transport_name, "replayed_events", n=len(replay)
             )
         if (parked.executed == requests_sent
                 and requests_sent == replies_seen + 1
@@ -570,14 +570,14 @@ class WireSession:
             # The link died between execute and reply: resend the cached
             # reply so the request is exactly-once, never re-executed.
             self._send(*parked.last_reply)
-            self._stats.count_wire(self.transport_name, "replayed_replies")
-        self._stats.count_wire(self.transport_name, "resumed")
+            self._stats.inc("wire", self.transport_name, "replayed_replies")
+        self._stats.inc("wire", self.transport_name, "resumed")
         self.flush_events()
 
     def _reject_resume(
         self, reason: str, parked: Optional[ParkedSession]
     ) -> None:
-        self._stats.count_wire(self.transport_name, "resume_rejected")
+        self._stats.inc("wire", self.transport_name, "resume_rejected")
         try:
             self._send(RESUMED, 0, encode_value({"ok": False, "reason": reason}))
         except Exception:  # pragma: no cover - best effort
@@ -585,7 +585,7 @@ class WireSession:
         if parked is not None:
             # Bottom rung of the degradation ladder: resume impossible,
             # so the ordinary close path runs — save-set rescue included.
-            self._stats.count_wire(self.transport_name, "sessions_lost")
+            self._stats.inc("wire", self.transport_name, "sessions_lost")
             record = parked.record
             record.on_event = None
             record.on_closed = None
@@ -627,7 +627,7 @@ class WireSession:
     def _send(self, kind: int, opcode: int, payload: bytes) -> None:
         if self.finished:
             return
-        self._stats.count_wire(self.transport_name, "frames_out")
+        self._stats.inc("wire", self.transport_name, "frames_out")
         self._send_raw(encode_frame(kind, opcode, payload))
 
     # -- liveness ---------------------------------------------------------
@@ -644,13 +644,13 @@ class WireSession:
             self._misses = 0
         else:
             self._misses += 1
-            self._stats.count_wire(self.transport_name, "heartbeat_misses")
+            self._stats.inc("wire", self.transport_name, "heartbeat_misses")
             if self._misses > cfg.miss_budget:
-                self._stats.count_wire(self.transport_name, "peers_reaped")
+                self._stats.inc("wire", self.transport_name, "peers_reaped")
                 self._close_link()
                 return
         self._pings += 1
-        self._stats.count_wire(self.transport_name, "pings_out")
+        self._stats.inc("wire", self.transport_name, "pings_out")
         self._send(PING, 0, SEQ.pack(self._pings))
 
     # -- teardown ---------------------------------------------------------
@@ -688,7 +688,7 @@ class WireSession:
         )
         parked.attach(self.sessions)
         self.sessions.park(parked)
-        self._stats.count_wire(self.transport_name, "parked")
+        self._stats.inc("wire", self.transport_name, "parked")
 
     def _on_server_closed(self) -> None:
         """The server tore this client down (voluntary close, fault
@@ -700,7 +700,7 @@ class WireSession:
         self._close_link()
 
     def _protocol_error(self, err: WireProtocolError) -> None:
-        self._stats.count_wire(self.transport_name, "protocol_errors")
+        self._stats.inc("wire", self.transport_name, "protocol_errors")
         if not self.finished:
             try:
                 self._send(ERROR, 0, encode_error(err))
@@ -722,8 +722,8 @@ def rescue_expired(
     """A parked session outlived its grace window: run the ordinary
     close path (save-set rescue) and count the loss."""
     stats = server.stats()
-    stats.count_wire(transport, "park_expired")
-    stats.count_wire(transport, "sessions_lost")
+    stats.inc("wire", transport, "park_expired")
+    stats.inc("wire", transport, "sessions_lost")
     record = parked.record
     record.on_event = None
     record.on_closed = None
@@ -1248,8 +1248,8 @@ class LinkFaultInjector:
                 kind, f"link:{self.direction}", self._client_id(), detail, rule
             )
             if self._stats is not None:
-                self._stats.count_injected(kind)
-                self._stats.count_wire(self._transport, f"fault_{kind}")
+                self._stats.inc("injected", kind)
+                self._stats.inc("wire", self._transport, f"fault_{kind}")
         if not cut:
             for entry in aging:
                 entry[0] -= 1
@@ -1352,7 +1352,7 @@ class _FramedLink:
         for chunk in chunks:
             if not self.up:
                 break
-            self._stats.count_wire("framed", "bytes_in", len(chunk))
+            self._stats.inc("wire", "framed", "bytes_in", n=len(chunk))
             self.session.feed(chunk)
         if cut:
             self.cut()
@@ -1365,7 +1365,7 @@ class _FramedLink:
         else:
             chunks, cut = self._s2c.transit(data)
         for chunk in chunks:
-            self._stats.count_wire("framed", "bytes_out", len(chunk))
+            self._stats.inc("wire", "framed", "bytes_out", n=len(chunk))
             self._buffer.extend(chunk)
         if cut:
             self.cut()

@@ -102,15 +102,15 @@ class _WireProtocol(asyncio.Protocol):
 
     def pause_writing(self) -> None:
         self._paused = True
-        self._stats.count_wire("tcp", "pauses")
+        self._stats.inc("wire", "tcp", "pauses")
 
     def resume_writing(self) -> None:
         self._paused = False
-        self._stats.count_wire("tcp", "resumes")
+        self._stats.inc("wire", "tcp", "resumes")
         self.session.flush_events()
 
     def data_received(self, data: bytes) -> None:
-        self._stats.count_wire("tcp", "bytes_in", len(data))
+        self._stats.inc("wire", "tcp", "bytes_in", n=len(data))
         self.session.feed(data)
 
     # -- WireSession adapter ----------------------------------------------
@@ -122,7 +122,7 @@ class _WireProtocol(asyncio.Protocol):
         if self._closing or self.transport is None:
             return
         self.transport.write(data)
-        self._stats.count_wire("tcp", "bytes_out", len(data))
+        self._stats.inc("wire", "tcp", "bytes_out", n=len(data))
 
     def _close_transport(self) -> None:
         self._closing = True

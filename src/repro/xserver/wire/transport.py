@@ -109,7 +109,7 @@ class ServerConnection(EventSink):
         if stage is None or not stage.enabled:
             return
         for type_name in type_names:
-            stage.stats.count_dropped(self.client_id, type_name)
+            stage.stats.inc("dropped", self.client_id, type_name)
 
 
 def _error_note(err: BaseException) -> str:

@@ -112,7 +112,7 @@ def run_scenario(seed, places):
         problems += adoption_problems(wm, windows)
         geometry = [conn.get_geometry(w) for w in windows]
         stats = server.stats()
-        lost = stats.wire_count("framed", "sessions_lost")
+        lost = stats.get("wire", transport="framed", key="sessions_lost")
         conn.close()
 
     return {
@@ -128,8 +128,8 @@ def run_scenario(seed, places):
         "fault_counts": dict(sorted(plan.counts.items())),
         "observed": observed,
         "geometry": geometry,
-        "parked": stats.wire_count("framed", "parked"),
-        "resumed": stats.wire_count("framed", "resumed"),
+        "parked": stats.get("wire", transport="framed", key="parked"),
+        "resumed": stats.get("wire", transport="framed", key="resumed"),
     }
 
 

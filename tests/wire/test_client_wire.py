@@ -202,8 +202,8 @@ class TestClientRecovery:
         # and is flagged for the oracles.
         assert backend.call(lambda: record.parked) is True
         assert backend.call(backend.sessions.parked_count) == 1
-        assert backend.call(lambda: backend.server.stats().wire_count(
-            backend.name, "parked")) == 1
+        assert backend.call(lambda: backend.server.stats().get(
+            "wire", transport=backend.name, key="parked")) == 1
 
         # The next request transparently reconnects and resumes.
         assert conn.window_exists(wid) is True
@@ -211,8 +211,8 @@ class TestClientRecovery:
         assert len(transport.delays) == 1
         assert backend.call(lambda: backend.server.clients[cid]) is record
         assert backend.call(lambda: record.parked) is False
-        assert backend.call(lambda: backend.server.stats().wire_count(
-            backend.name, "resumed")) == 1
+        assert backend.call(lambda: backend.server.stats().get(
+            "wire", transport=backend.name, key="resumed")) == 1
         # Same client id, same session — not a new registration.
         assert conn.client_id == cid
         conn.close()

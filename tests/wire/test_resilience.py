@@ -84,6 +84,11 @@ def make_host(server, seed=0, **overrides):
     return FramedHost(server, cfg)
 
 
+def framed(server, key):
+    """One of the server's framed-transport wire counters."""
+    return server.stats().get("wire", transport="framed", key=key)
+
+
 def connect(server, host, plan=None, name="app"):
     transport = FramedTransport(host, plan, sleep=host.advance)
     return ClientConnection(name=name, transport=transport), transport
@@ -298,7 +303,7 @@ class TestResumeHandshake:
         # Exactly-once: the resume resent the cached reply instead of
         # running the request again.
         assert peer2.link.session.executed == 2
-        assert server.stats().wire_count("framed", "replayed_replies") == 1
+        assert framed(server, "replayed_replies") == 1
 
     def test_lost_request_is_retransmitted_not_assumed(self, server):
         host = make_host(server)
@@ -339,7 +344,7 @@ class TestResumeHandshake:
         assert cid not in server.clients
         assert host.sessions.parked_count() == 0
         assert not peer2.link.up
-        assert server.stats().wire_count("framed", "sessions_lost") == 1
+        assert framed(server, "sessions_lost") == 1
 
     def test_unknown_token_rejected_cleanly(self, server):
         host = make_host(server)
@@ -389,7 +394,7 @@ class TestParkAndResume:
         moves = [e for e in events if isinstance(e, ev.ConfigureNotify)]
         assert [e.x for e in moves] == [10, 11, 12, 13, 14]
         assert transport.reconnects == 1
-        assert server.stats().wire_count("framed", "replayed_events") == 5
+        assert framed(server, "replayed_events") == 5
         # No duplicates slipped through the seq filter.
         assert transport._cs.dup_events == 0
 
@@ -400,8 +405,8 @@ class TestParkAndResume:
         # The client goes silent; the server probes, then reaps.
         for _ in range(4):
             host.heartbeat_tick()
-        assert server.stats().wire_count("framed", "peers_reaped") == 1
-        assert server.stats().wire_count("framed", "pings_out") >= 1
+        assert framed(server, "peers_reaped") == 1
+        assert framed(server, "pings_out") >= 1
         assert host.sessions.parked_count() == 1
         assert server.clients[cid].parked is True
         # Reaped is parked, not closed: the client comes back.
@@ -439,7 +444,7 @@ class TestDegradation:
         assert cid not in server.clients
         assert wid not in server.windows
         assert host.sessions.parked_count() == 0
-        assert server.stats().wire_count("framed", "sessions_lost") == 1
+        assert framed(server, "sessions_lost") == 1
         assert not transport.is_alive()
         # SessionLost IS a ConnectionClosed: old handlers already cope.
         assert isinstance(excinfo.value, ConnectionClosed)
@@ -451,7 +456,7 @@ class TestDegradation:
         cid = conn.client_id
         transport._link.cut()
         host.advance(31.0)
-        assert server.stats().wire_count("framed", "park_expired") == 1
+        assert framed(server, "park_expired") == 1
         assert cid not in server.clients
         assert wid not in server.windows
         with pytest.raises(SessionLost) as excinfo:
@@ -467,7 +472,7 @@ class TestDegradation:
         host.advance(29.9)
         assert conn.window_exists(wid) is True
         assert transport.reconnects == 1
-        assert server.stats().wire_count("framed", "park_expired") == 0
+        assert framed(server, "park_expired") == 0
 
     def test_reconnect_loses_the_race_at_the_deadline(self, server):
         host = make_host(server, park_grace=30.0)
@@ -493,7 +498,7 @@ class TestDegradation:
         with pytest.raises(SessionLost) as excinfo:
             conn.intern_atom("RACED")
         assert excinfo.value.reason == "unknown-token"
-        assert server.stats().wire_count("framed", "park_expired") == 1
+        assert framed(server, "park_expired") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +636,7 @@ def chaos_run(seed, steps=250):
         "delays": list(transport.delays),
         "faults": faults,
         "observed": observed,
-        "lost": server.stats().wire_count("framed", "sessions_lost"),
+        "lost": framed(server, "sessions_lost"),
     }
 
 
@@ -714,7 +719,7 @@ class TestQuotaAccounting:
 
         transport._link.cut()
         host.advance(31.0)  # grace expires: save-set rescue runs
-        assert server.stats().wire_count("framed", "park_expired") == 1
+        assert framed(server, "park_expired") == 1
         assert cid not in server.clients
         # Full refund: no window or byte charge outlives the client.
         assert server.quotas.windows[cid] == 0

@@ -171,23 +171,24 @@ class TestEventRouting:
         server.stats().reset()
         conn.unmap_window(wid)
         conn.map_window(wid)  # UnmapNotify + MapNotify (+ Expose)
-        before = server.stats().dropped_count(client_id=conn.client_id)
+        before = server.stats().get("dropped", client=conn.client_id)
         kept = conn.flush_events(ev.MapNotify)
         assert [type(e).__name__ for e in kept] == ["MapNotify"]
-        after = server.stats().dropped_count(client_id=conn.client_id)
+        after = server.stats().get("dropped", client=conn.client_id)
         discarded = after - before
         # Exactly the non-matching events, each counted exactly once.
-        assert discarded == server.stats().dropped_count(
-            "UnmapNotify", conn.client_id
-        ) + server.stats().dropped_count("Expose", conn.client_id)
-        assert server.stats().dropped_count("UnmapNotify", conn.client_id) == 1
+        stats, cid = server.stats(), conn.client_id
+        assert discarded == stats.get(
+            "dropped", type="UnmapNotify", client=cid
+        ) + stats.get("dropped", type="Expose", client=cid)
+        assert stats.get("dropped", type="UnmapNotify", client=cid) == 1
 
     def test_flush_without_filter_counts_nothing(self, server, conn):
         wid = make_window(conn)
         server.stats().reset()
         conn.unmap_window(wid)
         conn.flush_events()
-        assert server.stats().dropped_count(client_id=conn.client_id) == 0
+        assert server.stats().get("dropped", client=conn.client_id) == 0
 
     def test_drain_feeds_quota_watchdog(self, server, conn):
         # next_event reports the drain exactly once per event popped.

@@ -213,8 +213,8 @@ class TestStackingInvalidation:
         stats = server.stats()
         stats.reset()
         server.window(b).stacking_index()
-        assert stats.cache_hits("stacking_index") == 1
-        assert stats.cache_misses("stacking_index") == 0
+        assert stats.cache_counters()["stacking_index"]["hits"] == 1
+        assert stats.cache_counters()["stacking_index"]["misses"] == 0
 
     def test_moving_common_ancestor_rebuilds_neither(self, server, conn):
         desk, parents = two_parents(conn)
@@ -308,10 +308,10 @@ class TestCacheCounters:
         stats.reset()
         window.position_in_root()
         window.position_in_root()
-        assert stats.cache_hits("geometry") >= 1
-        before = stats.cache_invalidations("geometry")
+        assert stats.cache_counters()["geometry"]["hits"] >= 1
+        before = stats.cache_counters()["geometry"]["invalidations"]
         conn.move_window(wid, 50, 50)
-        assert stats.cache_invalidations("geometry") > before
+        assert stats.cache_counters()["geometry"]["invalidations"] > before
 
     def test_reset_preserves_correctness(self, server, conn):
         """Resetting counters must not revalidate stale entries."""

@@ -51,10 +51,12 @@ class TestWindowQuota:
             evil.create_window(root, 0, 0, 10, 10)
         # The quota is per client: the bystander is unaffected.
         bystander.create_window(root, 0, 0, 10, 10)
-        assert server.stats().quota_denied_count(
-            evil.client_id, "windows"
+        assert server.stats().get(
+            "quota_denials", client=evil.client_id, kind="windows"
         ) == 1
-        assert server.stats().quota_denied_count(bystander.client_id) == 0
+        assert server.stats().get(
+            "quota_denials", client=bystander.client_id
+        ) == 0
         # Destroying a window refunds budget.
         evil.destroy_window(wids[0])
         evil.create_window(root, 0, 0, 10, 10)
@@ -87,10 +89,10 @@ class TestWindowQuota:
         conn = ClientConnection(server, "app")
         for _ in range(8):
             conn.create_window(conn.root_window(), 0, 0, 10, 10)
-        assert server.stats().quota_warning_count(
-            conn.client_id, "windows"
+        assert server.stats().get(
+            "quota_warnings", client=conn.client_id, kind="windows"
         ) == 3  # windows 6..8 are past the 50% band
-        assert server.stats().quota_denied_count(conn.client_id) == 0
+        assert server.stats().get("quota_denials", client=conn.client_id) == 0
 
 
 class TestPropertyQuota:
@@ -183,8 +185,8 @@ class TestGrabAndRateQuota:
             conn.map_window(wids[0])
         server.housekeeping_tick()  # new rate window
         conn.map_window(wids[0])
-        assert server.stats().quota_denied_count(
-            conn.client_id, "requests"
+        assert server.stats().get(
+            "quota_denials", client=conn.client_id, kind="requests"
         ) == 1
 
 
@@ -239,13 +241,11 @@ class TestBackpressure:
         assert conn.pending() == 5  # motion shed
         fill_queue(conn, wid, 1)
         assert conn.pending() == 6  # structural still appends
-        assert server.stats().shed_count(
-            "MotionNotify", client_id=conn.client_id
+        assert server.stats().get(
+            "shed", type="MotionNotify", client=conn.client_id
         ) == 1
         # Sheds are a subset of drops (instrumentation sees them too).
-        assert server.stats().dropped_count(
-            client_id=conn.client_id
-        ) >= 1
+        assert server.stats().get("dropped", client=conn.client_id) >= 1
 
     def test_hard_cap_throttles_until_drained(self):
         server = make_server(**self.limits())
@@ -255,7 +255,7 @@ class TestBackpressure:
         fill_queue(conn, wid, 1)  # at the cap: throttled + shed
         assert conn.pending() == 8
         assert server.quotas.is_throttled(conn.client_id)
-        assert server.stats().throttle_count(conn.client_id) == 1
+        assert server.stats().get("throttles", client=conn.client_id) == 1
         fill_queue(conn, wid, 3)  # everything shed while throttled
         assert conn.pending() == 8
         # Draining to the low-water mark lifts the throttle.
@@ -276,7 +276,7 @@ class TestBackpressure:
         conn, wid = self.victim(server)
         fill_queue(conn, wid, 20)
         assert conn.pending() == 20
-        assert server.stats().shed_count() == 0
+        assert server.stats().get("shed") == 0
 
 
 class TestGrabWatchdog:
@@ -292,7 +292,7 @@ class TestGrabWatchdog:
         assert server.active_grab is not None  # within budget
         server.housekeeping_tick()
         assert server.active_grab is None
-        assert server.stats().grabs_broken_count("not-draining") == 1
+        assert server.stats().get("grabs_broken", reason="not-draining") == 1
 
     def test_draining_holder_keeps_grab(self):
         server = make_server(grab_tick_budget=3)
@@ -306,7 +306,7 @@ class TestGrabWatchdog:
             holder.events()  # ...which keeps draining
             server.housekeeping_tick()
         assert server.active_grab is not None
-        assert server.stats().grabs_broken_count() == 0
+        assert server.stats().get("grabs_broken") == 0
 
     def test_dead_holder_grab_broken(self):
         server = make_server(grab_tick_budget=3)
@@ -320,7 +320,7 @@ class TestGrabWatchdog:
         del server.clients[holder.client_id]
         server.housekeeping_tick()
         assert server.active_grab is None
-        assert server.stats().grabs_broken_count("dead-holder") == 1
+        assert server.stats().get("grabs_broken", reason="dead-holder") == 1
 
     def test_throttled_client_passive_grabs_pruned(self):
         server = make_server(
@@ -336,7 +336,9 @@ class TestGrabWatchdog:
         for _ in range(3):
             server.housekeeping_tick()
         assert server.grabs.count_for_client(jammed.client_id) == 0
-        assert server.stats().grabs_broken_count("passive-throttled") == 1
+        assert server.stats().get(
+            "grabs_broken", reason="passive-throttled"
+        ) == 1
 
 
 class TestConnectionContracts:
@@ -375,11 +377,11 @@ class TestConnectionContracts:
         conn.select_input(wid, EventMask.Exposure)
         conn.map_window(wid)
         conn.events()  # discard the Expose the map generated
-        before = server.stats().dropped_count(client_id=conn.client_id)
+        before = server.stats().get("dropped", client=conn.client_id)
         fill_queue(conn, wid, 3)
         kept = conn.flush_events(ev.Expose)
         assert kept == []
-        after = server.stats().dropped_count(client_id=conn.client_id)
+        after = server.stats().get("dropped", client=conn.client_id)
         assert after - before >= 3
 
 
