@@ -151,14 +151,6 @@ class Panner:
             return self.drag
         return None
 
-    def begin_window_drag_from_screen(
-        self, managed: "ManagedWindow", x: int, y: int
-    ) -> PannerDrag:
-        """A window move started on the client window entered the
-        panner: continue it as a miniature drag (§6.1)."""
-        self.drag = PannerDrag(kind="window", managed=managed, x=x, y=y)
-        return self.drag
-
     def motion(self, x: int, y: int) -> None:
         """Pointer motion during a drag, panner-local coordinates (may
         run outside the panner bounds)."""

@@ -115,11 +115,5 @@ class ScrollBars:
     def owns(self, window: int) -> bool:
         return window in (self.vertical, self.horizontal)
 
-    def line_step(self, vertical: bool) -> int:
-        """The arrow-button step: one tenth of the view."""
-        if vertical:
-            return max(1, self.vdesk.screen.height // 10)
-        return max(1, self.vdesk.screen.width // 10)
-
     def __repr__(self) -> str:
         return f"<ScrollBars for {self.vdesk!r}>"

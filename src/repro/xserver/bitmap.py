@@ -79,11 +79,6 @@ class Bitmap:
     def count_set(self) -> int:
         return sum(sum(1 for bit in row if bit) for row in self.rows)
 
-    def to_strings(self, on: str = "#", off: str = ".") -> List[str]:
-        return [
-            "".join(on if bit else off for bit in row) for row in self.rows
-        ]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Bitmap)

@@ -433,23 +433,6 @@ class Window:
             self._rect.height + 2 * bw,
         )
 
-    def contains_point_in_root(self, x: int, y: int) -> bool:
-        """Hit test in root coordinates, honouring the border and the
-        SHAPE region (a shaped window's border is clipped to the shape,
-        as the bounding shape clips the border in real X)."""
-        origin = self.position_in_root()
-        local_x, local_y = x - origin.x, y - origin.y
-        bw = self._border_width
-        rect = self._rect
-        if not (
-            -bw <= local_x < rect.width + bw
-            and -bw <= local_y < rect.height + bw
-        ):
-            return False
-        if self._shape is not None:
-            return self._shape.contains(local_x, local_y)
-        return True
-
     # -- map state ---------------------------------------------------------
 
     @property
@@ -761,12 +744,6 @@ class Window:
             self.restack(ABOVE, None)
         elif occludes_sibling():
             self.restack(BELOW, None)
-
-    def sibling_above(self) -> Optional["Window"]:
-        """The sibling immediately above, or None if topmost."""
-        index = self.sibling_index()
-        siblings = self._parent.children
-        return siblings[index + 1] if index + 1 < len(siblings) else None
 
     def sibling_below(self) -> Optional["Window"]:
         index = self.sibling_index()
