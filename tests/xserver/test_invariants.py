@@ -10,6 +10,8 @@ pointer window, QueryPointer's child, clip regions) with an uncached
 recomputation.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +21,7 @@ from repro.xserver import (
     EventMask, XServer,
 )
 from repro.xserver.geometry import Rect
-from repro.xserver.region import Region
+from repro.xserver.region import _INTERSECT, _SUBTRACT, Region, _combine
 from repro.xserver.window import INPUT_ONLY
 
 OPS = st.sampled_from(
@@ -70,26 +72,46 @@ def brute_force_pointer_window(server):
 
 
 def uncached_clips(root):
-    """Every window's clip region, recomputed top-down from scratch."""
+    """Every window's clip region, recomputed top-down from scratch.
+
+    Every step runs the general band sweep (`_combine`) on
+    one-rectangle band lists, so the oracle never takes the rectangle
+    paths of `Region` that the cached clips use."""
     x, y = manual_origin(root)
     clips = {root: Region.from_rect(Rect(x, y, root.width, root.height))}
     stack = [root]
     while stack:
         parent = stack.pop()
-        for i, window in enumerate(parent.children):
+        children = parent.children
+        # Outer boxes of the siblings that occlude (mapped, unshaped,
+        # INPUT_OUTPUT) as (x1, y1, x2, y2); None for the others.
+        occluders = []
+        for child in children:
+            box = manual_outer_rect(child)
+            occludes = (child.mapped and child.shape is None
+                        and child.win_class != INPUT_ONLY)
+            occluders.append(
+                (box.x, box.y, box.x2, box.y2) if occludes else None
+            )
+        for i, window in enumerate(children):
             stack.append(window)
             if not window.mapped or clips[parent].empty:
                 clips[window] = Region.EMPTY
                 continue
             x, y = manual_origin(window)
-            region = Region.from_rect(
-                Rect(x, y, window.width, window.height)
-            ).intersect(clips[parent])
-            for above in parent.children[i + 1:]:
-                if (above.mapped and above.shape is None
-                        and above.win_class != INPUT_ONLY):
-                    region = region.subtract(manual_outer_rect(above))
-            clips[window] = region
+            right, bottom = x + window.width, y + window.height
+            bands = _combine(
+                Region.from_rect(Rect(x, y, window.width, window.height)).bands,
+                clips[parent].bands, _INTERSECT,
+            )
+            for box in occluders[i + 1:]:
+                if (box is not None and box[0] < right and x < box[2]
+                        and box[1] < bottom and y < box[3]):
+                    x1, y1, x2, y2 = box
+                    bands = _combine(
+                        bands, ((y1, y2, (x1, x2)),), _SUBTRACT
+                    )
+            clips[window] = Region(bands)
     return clips
 
 
@@ -333,3 +355,58 @@ class TestRandomOps:
         # CreateNotify carries the parent as `window`; just assert the
         # stream drained without errors and the tree is consistent.
         check_invariants(server)
+
+
+class TestWidgetGridClips:
+    """The shape of perfbench's ``stack_churn``: a top-level partly
+    covered by a sibling, holding a 16 x 8 grid of bordered children
+    that overlap their neighbours by a few pixels.  After every seeded
+    configure that grows, moves or restacks a child, each cached clip
+    equals the uncached oracle."""
+
+    COLUMNS, ROWS = 16, 8
+    CELL_W, CELL_H = 40, 30
+
+    def test_clips_match_oracle_under_grid_churn(self):
+        rng = random.Random(2025)
+        server = XServer(screens=[(800, 600, 8)])
+        conn = ClientConnection(server)
+        root = conn.root_window()
+        top = conn.create_window(
+            root, 20, 30, self.COLUMNS * self.CELL_W,
+            self.ROWS * self.CELL_H, border_width=1,
+        )
+        cover = conn.create_window(root, 400, 150, 200, 160, border_width=2)
+        children = []
+        for row in range(self.ROWS):
+            for column in range(self.COLUMNS):
+                children.append(conn.create_window(
+                    top, column * self.CELL_W - 2, row * self.CELL_H - 2,
+                    self.CELL_W + 2, self.CELL_H + 2, border_width=1,
+                ))
+        conn.map_subwindows(top)
+        conn.map_window(top)
+        conn.map_window(cover)
+        for _ in range(200):
+            wid = rng.choice(children)
+            window = server.window(wid)
+            kind = rng.randrange(3)
+            if kind == 0:
+                conn.configure_window(
+                    wid, width=window.width + rng.randint(1, 6),
+                    height=window.height + rng.randint(1, 6),
+                )
+            elif kind == 1:
+                conn.move_window(wid, window.x + rng.randint(-5, 5),
+                                 window.y + rng.randint(-5, 5))
+            else:
+                sibling = rng.choice(children)
+                mode = rng.choice((ev.ABOVE, ev.BELOW))
+                if sibling == wid:
+                    conn.configure_window(wid, stack_mode=mode)
+                else:
+                    conn.configure_window(wid, sibling=sibling,
+                                          stack_mode=mode)
+            for window, region in uncached_clips(
+                    server.screens[0].root).items():
+                assert window.clip_region() == region, window
