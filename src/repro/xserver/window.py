@@ -629,15 +629,18 @@ class Window:
         """One level of the top-down clip computation (non-root)."""
         if not self._mapped or parent_clip.empty:
             return Region.EMPTY
-        own = self.rect_in_root()
-        region = Region.from_rect(own).intersect(parent_clip)
+        origin = self.position_in_root()
+        left = origin.x
+        top = origin.y
+        right = left + self._rect.width
+        bottom = top + self._rect.height
+        region = parent_clip.intersect_box(left, top, right, bottom)
         if region.empty:
             return region
         # The siblings above this window are the index entries before
         # it (the index holds every mapped child, so it is found).  The
-        # region lies inside `own`: a box outside it costs four compares
-        # and no allocation.
-        left, top, right, bottom = own.x, own.y, own.x2, own.y2
+        # region lies inside this window's box: a box outside it costs
+        # four compares, and one that cuts no wall returns the region.
         parent = self._parent
         parent_origin = parent.position_in_root()
         dx = parent_origin.x + parent._border_width
@@ -653,11 +656,9 @@ class Window:
             y2 += dy
             if x2 <= left or x1 >= right or y2 <= top or y1 >= bottom:
                 continue
-            rect = Rect(x1, y1, x2 - x1, y2 - y1)
-            if region.intersects_rect(rect):
-                region = region.subtract(rect)
-                if region.empty:
-                    break
+            region = region.subtract_box(x1, y1, x2, y2)
+            if region.empty:
+                break
         return region
 
     def sibling_index(self) -> int:
