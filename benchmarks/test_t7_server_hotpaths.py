@@ -18,12 +18,14 @@ caches buy us:
   ``query_pointer`` calls re-use cached root origins (hit rate >= 90%
   with motion coalescing disabled, so every event is fully delivered).
 
-Two launch-path guards count work by wrapping server internals from
-the test: SHAPE conversions for one managed oclock (bitmap to bands at
-most twice, never back), and the hit tests and exposure passes of one
-manage, which swm does off-screen and shows with a single MapWindow.
-A reintroduced mask round trip, or a frame mapped before it is built,
-fails by count rather than by timing.
+Three guards count work by wrapping server internals from the test:
+SHAPE conversions for one managed oclock (bitmap to bands at most
+twice, never back), the hit tests and exposure passes of one manage,
+which swm does off-screen and shows with a single MapWindow, and the
+general region sweeps run while a grown widget's exposures go out
+(none: every clip step has a rectangle operand).  A reintroduced mask
+round trip, a frame mapped before it is built, or a clip built from
+one-rectangle regions fails by count rather than by timing.
 
 Timing cases use pytest-benchmark (group ``t7``); the guards are plain
 asserts on ``server.stats()`` cache counters, so they hold under
@@ -34,7 +36,7 @@ import pytest
 
 from repro import icccm
 from repro.clients import OClock, XTerm
-from repro.xserver import ClientConnection, EventMask, XServer, shape
+from repro.xserver import ClientConnection, EventMask, XServer, region, shape
 
 from .conftest import fresh_server, fresh_wm, report
 
@@ -208,6 +210,54 @@ def test_t7_index_locality_guard():
         counts.append(rebuilds)
     report("T7: stacking-index rebuilds per child configure", lines)
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_t7_clip_sweep_guard(monkeypatch, batched):
+    """Growing one widget of a 128-widget grid, so that it slides under
+    its neighbours, runs the general region x region sweep (`_combine`)
+    zero times inside `_send_exposures`, unbatched and batched: every
+    clip step intersects or subtracts one box, band-local.  Counted by
+    wrapping `_combine` and `_send_exposures` from outside."""
+    server = fresh_server()
+    conn = ClientConnection(server, "apps", coalesce=False)
+    widgets = toolkit(conn, 24, 40, 128)
+    for wid in widgets:
+        conn.select_input(wid, EventMask.Exposure)
+    counts = {"exposures": 0, "sweeps": 0}
+    inside = []
+    sweep_inner = region._combine
+    expose_inner = XServer._send_exposures
+
+    def counted_sweep(*args):
+        if inside:
+            counts["sweeps"] += 1
+        return sweep_inner(*args)
+
+    def counted_exposures(self, window):
+        counts["exposures"] += 1
+        inside.append(window)
+        try:
+            return expose_inner(self, window)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(region, "_combine", counted_sweep)
+    monkeypatch.setattr(XServer, "_send_exposures", counted_exposures)
+    grown = widgets[17]  # row 1, column 1: neighbours above on two sides
+    if batched:
+        with conn.batch():
+            conn.configure_window(grown, width=60, height=48)
+    else:
+        conn.configure_window(grown, width=60, height=48)
+    report(f"T7: region sweeps while exposing a grown widget"
+           f" ({'batched' if batched else 'unbatched'})", [
+        f"exposure passes: {counts['exposures']}",
+        f"_combine calls inside them: {counts['sweeps']}",
+    ])
+    assert counts["exposures"] >= 1
+    assert server.window(grown).clip_region().area() < 60 * 48
+    assert counts["sweeps"] == 0
 
 
 def test_t7_shaped_launch_conversion_guard(monkeypatch):
