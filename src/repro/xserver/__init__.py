@@ -34,7 +34,6 @@ from .pipeline import (
     CoalescingStage,
     EventPipeline,
     InstrumentationStage,
-    PipelineStage,
 )
 from .quotas import QuotaExceeded, QuotaLimits, QuotaManager
 from .screen import Screen
@@ -64,7 +63,6 @@ __all__ = [
     "FaultStage",
     "Geometry",
     "InstrumentationStage",
-    "PipelineStage",
     "ProtocolFuzzer",
     "QueueEmpty",
     "QuotaExceeded",

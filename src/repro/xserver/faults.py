@@ -89,7 +89,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
-from . import pipeline as pl
 from .errors import ERROR_BY_CODE, XError
 
 #: Fault kinds.
@@ -473,38 +472,36 @@ class FaultPlan:
         )
 
 
-class FaultStage(pl.PipelineStage):
-    """Pipeline stage applying drop/delay rules to event delivery.
+class FaultStage:
+    """The delivery pipeline's first step: drop/delay rules.
 
-    Installed first in each client's pipeline (see
-    ``XServer.build_pipeline``) so an injected loss happens *before*
-    coalescing or instrumentation — a dropped event was never produced
-    as far as the client can tell, but the stats stage still counts it
-    (it observes drops)."""
-
-    name = "faults"
+    It runs before coalescing and backpressure (see
+    :class:`~repro.xserver.pipeline.EventPipeline`), so an injected
+    loss happens first — a dropped event was never produced as far as
+    the client can tell, and only the counters still see it."""
 
     def __init__(self, server, client_id: int) -> None:
-        super().__init__()
         self.server = server
         self.client_id = client_id
 
-    def process(self, delivery: pl.Delivery) -> None:
+    def drops(self, event) -> bool:
+        """True when a delivery rule fired: the event is discarded or
+        held for :meth:`FaultPlan.release_delayed`."""
         plan = self.server.faults
         if plan is None:
-            return
-        type_name = type(delivery.event).__name__
+            return False
+        type_name = type(event).__name__
         rule = plan.pick_delivery_fault(self.client_id, type_name)
         if rule is None:
-            return
+            return False
         if rule.kind == DELAY:
-            plan.hold(self.client_id, delivery.event)
+            plan.hold(self.client_id, event)
             detail = "held for release"
         else:
             detail = "discarded"
         plan.record(rule.kind, type_name, self.client_id, detail, rule)
         self.server.stats().inc("injected", rule.kind)
-        delivery.outcome = pl.DROP
+        return True
 
 
 __all__ = [

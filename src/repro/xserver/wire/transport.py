@@ -57,7 +57,7 @@ class ServerConnection(EventSink):
         self.name = name
         self.client_id, self.xids = server.register_client(self)
         self._queue: Deque[ev.Event] = deque()
-        self.pipeline: EventPipeline = server.build_pipeline(self.client_id)
+        self.pipeline = EventPipeline(server, self.client_id, coalesce)
         #: Fired (synchronously, post-pipeline) for every event the
         #: queue accepted.  Loopback wires this to the proxy's handler
         #: dispatch; TCP wires it to the socket flusher.
@@ -70,8 +70,6 @@ class ServerConnection(EventSink):
         #: link died but the session may still resume) — windows, XIDs
         #: and quotas stay live; see repro.xserver.wire.resilience.
         self.parked: bool = False
-        if not coalesce:
-            self.set_coalescing(False)
 
     def __repr__(self) -> str:
         return f"<ServerConnection {self.name!r} id={self.client_id}>"
@@ -79,7 +77,7 @@ class ServerConnection(EventSink):
     # -- EventSink --------------------------------------------------------
 
     def queue_event(self, event: ev.Event) -> None:
-        if self.pipeline.deliver(event, self._queue, self.client_id) == DROP:
+        if self.pipeline.deliver(event, self._queue) == DROP:
             return
         if self.on_event is not None:
             self.on_event(event)
@@ -96,20 +94,14 @@ class ServerConnection(EventSink):
         return self.server.clients.get(self.client_id) is self
 
     def set_coalescing(self, enabled: bool) -> None:
-        stage = self.pipeline.stage("coalesce")
-        if stage is not None:
-            stage.enabled = enabled
+        self.pipeline.coalescing = enabled
 
     def count_discards(self, type_names: Sequence[str]) -> None:
         """Count events the client itself threw away (flush_events) in
-        the same dropped counters pipeline losses land in — gated on
-        the stats stage exactly like in-process delivery, so nothing is
-        double-counted."""
-        stage = self.pipeline.stage("stats")
-        if stage is None or not stage.enabled:
-            return
+        the same dropped counters pipeline losses land in."""
+        stats = self.server.stats()
         for type_name in type_names:
-            stage.stats.inc("dropped", self.client_id, type_name)
+            stats.inc("dropped", self.client_id, type_name)
 
 
 def _error_note(err: BaseException) -> str:
@@ -188,8 +180,6 @@ class Transport:
     queue: Deque[ev.Event]
     #: The live server for in-process transports, None across a wire.
     server: Optional[XServer] = None
-    #: The shared pipeline for in-process transports, None across a wire.
-    pipeline: Optional[EventPipeline] = None
 
     def connect(self, proxy, name: str, coalesce: bool) -> None:
         raise NotImplementedError
@@ -241,7 +231,6 @@ class LoopbackTransport(Transport):
         self.client_id = record.client_id
         self.xids = record.xids
         self.queue = record._queue
-        self.pipeline = record.pipeline
 
     def request(self, name: str, args: tuple = (),
                 kwargs: Optional[dict] = None) -> Any:

@@ -48,7 +48,6 @@ class TestConnectionSplit:
         # oracle read off server.clients entries:
         assert record.name == "app"
         assert record._queue is conn._queue
-        assert record.pipeline is conn.pipeline
 
     def test_loopback_queue_is_shared(self, server, conn):
         wid = make_window(conn)
