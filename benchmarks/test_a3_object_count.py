@@ -40,10 +40,10 @@ def manage_once(buttons: int):
     db = ResourceDatabase()
     db.load_string(decoration_with(buttons))
     wm = Swm(server, db, places_path="/tmp/a3.places")
-    server.start_trace(maxlen=10**6)
+    before = server.stats().get("requests")
     app = XLoad(server, ["xload", "-geometry", "+100+100"])
     wm.process_pending()
-    requests = len(server.stop_trace())
+    requests = server.stats().get("requests") - before
     managed = wm.managed[app.wid]
     objects = sum(1 for _ in managed.decoration.iter_tree())
     return requests, objects

@@ -41,29 +41,13 @@ class TestOpaqueMove:
 
 class TestProtocolTrace:
     def test_trace_records_requests(self, server, wm):
-        server.start_trace()
+        server.stats().reset()
         app = XTerm(server, ["xterm", "-geometry", "+10+10"])
         wm.process_pending()
-        trace = server.stop_trace()
-        names = [name for _, name in trace]
+        names = server.stats().snapshot()["requests"]
         assert "create_window" in names
         assert "reparent_window" in names
         assert "map_window" in names
-
-    def test_trace_bounded(self, server):
-        from repro.xserver import ClientConnection
-
-        server.start_trace(maxlen=10)
-        conn = ClientConnection(server)
-        for _ in range(50):
-            conn.intern_atom("X")  # no tick; use motion instead
-            server.motion(10, 10)
-            server.motion(20, 20)
-        trace = server.stop_trace()
-        assert len(trace) <= 10
-
-    def test_trace_off_by_default(self, server):
-        assert server.trace_snapshot() == []
 
 
 class TestFindManaged:
