@@ -127,10 +127,6 @@ class ScreenContext:
             return self.vdesk.window
         return self.root
 
-    def effective_root(self, sticky: bool) -> int:
-        """The SWM_ROOT property value for a client."""
-        return self.desktop_parent(sticky)
-
     def view_offset(self) -> Point:
         if self.vdesk is None:
             return Point(0, 0)

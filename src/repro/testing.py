@@ -105,11 +105,6 @@ class Robot:
         start = (origin.x + 2, origin.y + 2)
         self.drag(start, (start[0] + dx, start[1] + dy), button)
 
-    def click_frame(self, managed: "ManagedWindow", button: int = 1) -> None:
-        """Click the frame margin (the decoration panel itself)."""
-        rect = self.wm.frame_rect(managed)
-        self.click(rect.x + 1, rect.y + rect.height // 2, button)
-
     # -- WM dialogs --------------------------------------------------------------------
 
     def pick_menu_item(self, label: str) -> None:

@@ -214,11 +214,6 @@ class Window:
         self.background: Optional[str] = None
         self.cursor: Optional[str] = None
         self._shape: Optional["ShapeRegion"] = None
-        #: Generation counter: bumped on every geometry-affecting change
-        #: (configure/reparent/border); cached root origins are stamped
-        #: against the tree's geometry clock instead, but the counter
-        #: makes per-window churn observable in tests.
-        self.geometry_generation = 0
         self._origin: Optional[Point] = None
         self._origin_stamp = -1
         self._viewable = False
@@ -302,7 +297,6 @@ class Window:
     # -- cache invalidation ------------------------------------------------
 
     def _invalidate_geometry(self) -> None:
-        self.geometry_generation += 1
         caches = self.caches
         caches.geometry_clock += 1
         caches.geometry_invalidations += 1

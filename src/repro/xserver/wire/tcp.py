@@ -305,14 +305,13 @@ class TcpTransport(ClientWire):
     round-trips), pluggable into
     :class:`~repro.xserver.client.ClientConnection` via ``transport=``.
 
-    Wall-clock bounds come from *timeouts* (the legacy single *timeout*
-    knob maps to :meth:`WireTimeouts.uniform`).  A blocking read gives
+    Wall-clock bounds come from *timeouts* (default
+    ``WireTimeouts.uniform(10.0)``).  A blocking read gives
     up after the heartbeat interval with a *resilience* config (so
     silence triggers a PING probe) and after the rpc bound without one.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 6600,
-                 timeout: float = 10.0,
                  timeouts: Optional[WireTimeouts] = None,
                  resilience: Optional[ResilienceConfig] = None,
                  sleep=time.sleep):
@@ -320,9 +319,8 @@ class TcpTransport(ClientWire):
         self.host = host
         self.port = port
         self.timeouts = (
-            timeouts if timeouts is not None else WireTimeouts.uniform(timeout)
+            timeouts if timeouts is not None else WireTimeouts.uniform(10.0)
         )
-        self.timeout = self.timeouts.rpc  # legacy attribute
         self._sock: Optional[socket.socket] = None
         #: Read timeout of the current phase (handshake, steady, close).
         self._wait = self._read_timeout()

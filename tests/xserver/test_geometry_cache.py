@@ -98,20 +98,6 @@ class TestPanInvalidation:
         after = server.window(inner).position_in_root()
         assert (after.x, after.y) == (before.x + 7, before.y + 7)
 
-    def test_geometry_generation_bumps(self, server, conn):
-        wid = conn.create_window(conn.root_window(), 10, 10, 100, 100)
-        window = server.window(wid)
-        gen = window.geometry_generation
-        conn.move_window(wid, 20, 20)
-        assert window.geometry_generation > gen
-        gen = window.geometry_generation
-        conn.configure_window(wid, border_width=3)
-        assert window.geometry_generation > gen
-        frame = conn.create_window(conn.root_window(), 0, 0, 500, 500)
-        gen = window.geometry_generation
-        conn.reparent_window(wid, frame, 5, 5)
-        assert window.geometry_generation > gen
-
 
 class TestReparentInvalidation:
     def test_reparent_refreshes_subtree(self, server, conn):
