@@ -241,40 +241,43 @@ def test_chaos_run(chaos_seed, tmp_path):
     )
 
 
+def replay_workload(seed, places):
+    """A 150-step launch-and-move workload under the standard plan;
+    returns its fault log as (serial, kind, target, detail) tuples."""
+    rng = random.Random(seed)
+    server = XServer(screens=[(1152, 900, 8)])
+    wm = full_wm(server, places)
+    wm.process_pending()
+    apps = []
+    app_clients = set()
+    plan = server.install_faults(build_plan(seed, app_clients))
+    for step in range(150):
+        live = [
+            a for a in apps
+            if a.conn.is_alive() and a.wid in wm.managed
+        ]
+        roll = rng.random()
+        if roll < 0.3 and len(live) < 8:
+            try:
+                app = launch_command(server, [rng.choice(PROGRAMS)])
+                apps.append(app)
+                app_clients.add(app.conn.client_id)
+            except (XError, ConnectionClosed):
+                pass
+        elif live:
+            managed = wm.managed.get(rng.choice(live).wid)
+            if managed is not None:
+                wm.guarded(wm.move_managed_to, managed,
+                           rng.randint(0, 2000), rng.randint(0, 1500),
+                           what="chaos")
+        wm.process_pending()
+    return [(f.serial, f.kind, f.target, f.detail) for f in plan.log]
+
+
 def test_chaos_run_is_replayable(chaos_seed, tmp_path):
     """Same seed, same workload → bit-identical fault log."""
-
-    def run(tag):
-        rng = random.Random(chaos_seed)
-        server = XServer(screens=[(1152, 900, 8)])
-        wm = full_wm(server, str(tmp_path / f"places-{tag}"))
-        wm.process_pending()
-        apps = []
-        app_clients = set()
-        plan = server.install_faults(build_plan(chaos_seed, app_clients))
-        for step in range(150):
-            live = [
-                a for a in apps
-                if a.conn.is_alive() and a.wid in wm.managed
-            ]
-            roll = rng.random()
-            if roll < 0.3 and len(live) < 8:
-                try:
-                    app = launch_command(server, [rng.choice(PROGRAMS)])
-                    apps.append(app)
-                    app_clients.add(app.conn.client_id)
-                except (XError, ConnectionClosed):
-                    pass
-            elif live:
-                managed = wm.managed.get(rng.choice(live).wid)
-                if managed is not None:
-                    wm.guarded(wm.move_managed_to, managed,
-                               rng.randint(0, 2000), rng.randint(0, 1500),
-                               what="chaos")
-            wm.process_pending()
-        return [(f.serial, f.kind, f.target, f.detail) for f in plan.log]
-
-    assert run("a") == run("b")
+    first = replay_workload(chaos_seed, str(tmp_path / "places-a"))
+    assert first == replay_workload(chaos_seed, str(tmp_path / "places-b"))
 
 
 def test_kill_during_manage_leaves_no_debris(tmp_path):
