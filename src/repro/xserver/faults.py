@@ -56,6 +56,11 @@ Fault kinds
     A matching event is silently discarded before it reaches the
     client's queue (a lost wakeup).
 
+``delay``
+    A matching event is held back instead of delivered; the test calls
+    :meth:`FaultPlan.release_delayed` to flush held events later, out
+    of their original arrival window (reordered delivery).
+
 ``partition`` / ``lag`` / ``reorder`` / ``truncate`` / ``corrupt`` / ``duplicate``
     Link faults, applied frame-by-frame to the byte stream of a wire
     transport by :class:`~repro.xserver.wire.resilience.LinkFaultInjector`:
@@ -67,18 +72,17 @@ Fault kinds
     twice.  ``FaultRule.direction`` narrows a rule to the client->server
     (``"c2s"``) or server->client (``"s2c"``) half of the link.
 
-``delay``
-    A matching event is held back instead of delivered; the test calls
-    :meth:`FaultPlan.release_delayed` to flush held events later, out
-    of their original arrival window (reordered delivery).
-
-Request-side faults (error/kill/stale) hook the server's per-request
-tick; delivery-side faults (drop/delay) run as a :class:`FaultStage` at
-the head of each client's event pipeline.  Every decision consumes the
-plan's private seeded RNG in rule order, so the same seed and the same
-workload replay the same fault sequence exactly.  Applied faults are
-counted in ``server.stats()`` (``injected_faults``) and appended to
-:attr:`FaultPlan.log` for post-mortems.
+Request-side faults (error/kill/stale/crash/flood/shard_crash/
+shard_hang) hook the server's per-request tick; delivery-side faults
+(drop/delay) run as a :class:`FaultStage` at the head of each client's
+event pipeline; link faults run in the wire transit.  All three ask
+one picker, :meth:`FaultPlan.pick`, which consumes the plan's private
+seeded RNG in rule order, so the same seed and the same workload replay
+the same fault sequence exactly.  A fault that is applied goes through
+one recorder, :meth:`FaultPlan.record`: it is appended to
+:attr:`FaultPlan.log` for post-mortems and counts toward its rule's
+``fires``; the server and the wire also count it in ``server.stats()``
+(``injected_faults``).
 """
 
 from __future__ import annotations
@@ -224,53 +228,37 @@ class FaultRule:
                 f"link 'direction' must be c2s/s2c/None, not {self.direction!r}"
             )
 
-    def matches_client(self, client_id: Optional[int]) -> bool:
+    def matches(
+        self, target: str, client_id: Optional[int], dedupable: bool = True
+    ) -> bool:
+        """Whether this rule applies to *target*: a request name or an
+        event type name (against the ``requests`` / ``events`` name
+        prefixes), or for a link rule a direction (against
+        ``direction``).  *dedupable* says whether a link frame is one
+        the protocol deduplicates."""
+        if self.kind in LINK_KINDS:
+            if self.direction not in (None, target):
+                return False
+            # Duplication only matches frames the protocol dedups (events
+            # by sequence number, heartbeats and acks by idempotence): a
+            # stream transport cannot duplicate within a connection, so a
+            # duplicated REQUEST/REPLY would model nothing real while
+            # silently desyncing the reply ledger beyond any resume.
+            if self.kind == DUPLICATE and not dedupable:
+                return False
+        else:
+            prefixes = self.requests if self.kind in REQUEST_KINDS else self.events
+            if prefixes is not None and not target.startswith(tuple(prefixes)):
+                return False
         if self.clients is None:
             return True
+        # Device input has no client and a handshake frame no client id
+        # yet; a rule with a client filter never matches those.
         if client_id is None:
             return False
         if callable(self.clients):
             return bool(self.clients(client_id))
         return client_id in self.clients
-
-    def matches_request(self, request: str, client_id: Optional[int]) -> bool:
-        if self.kind not in REQUEST_KINDS:
-            return False
-        if not self.matches_client(client_id):
-            return False
-        if self.requests is None:
-            return True
-        return any(request.startswith(prefix) for prefix in self.requests)
-
-    def matches_event(self, type_name: str, client_id: int) -> bool:
-        if self.kind not in DELIVERY_KINDS:
-            return False
-        if not self.matches_client(client_id):
-            return False
-        if self.events is None:
-            return True
-        return any(type_name.startswith(prefix) for prefix in self.events)
-
-    def matches_link(
-        self,
-        direction: str,
-        client_id: Optional[int],
-        dedupable: bool = True,
-    ) -> bool:
-        if self.kind not in LINK_KINDS:
-            return False
-        if self.direction is not None and self.direction != direction:
-            return False
-        # Duplication only matches frames the protocol dedups (events
-        # by sequence number, heartbeats and acks by idempotence): a
-        # stream transport cannot duplicate within a connection, so a
-        # duplicated REQUEST/REPLY would model nothing real while
-        # silently desyncing the reply ledger beyond any resume.
-        if self.kind == DUPLICATE and not dedupable:
-            return False
-        # During the handshake the link has no client id yet; a rule
-        # with a client filter never matches those anonymous frames.
-        return self.matches_client(client_id)
 
     def exhausted(self) -> bool:
         return self.max_fires is not None and self.fires >= self.max_fires
@@ -329,17 +317,20 @@ class FaultPlan:
 
     def record(
         self,
-        kind: str,
+        rule: FaultRule,
         target: str,
         client_id: Optional[int],
         detail: str = "",
-        rule: Optional[FaultRule] = None,
-    ) -> InjectedFault:
+    ) -> None:
+        """Log one applied fault.  The only place ``rule.fires`` grows:
+        a rule :meth:`pick` returned but its caller declined to apply
+        (no target to hit) never counts as fired."""
+        rule.fires += 1
         self._serial += 1
-        self.counts[kind] += 1
-        fault = InjectedFault(self._serial, kind, target, client_id, detail, rule)
-        self.log.append(fault)
-        return fault
+        self.counts[rule.kind] += 1
+        self.log.append(
+            InjectedFault(self._serial, rule.kind, target, client_id, detail, rule)
+        )
 
     def total_injected(self) -> int:
         return sum(self.counts.values())
@@ -361,28 +352,35 @@ class FaultPlan:
         finally:
             self.enabled = previous
 
-    # -- request-side decisions (called from the server tick) --------------
+    # -- decisions -----------------------------------------------------------
 
-    def pick_request_fault(
-        self, request: str, client_id: Optional[int]
+    def pick(
+        self,
+        kinds: Sequence[str],
+        target: str,
+        client_id: Optional[int],
+        dedupable: bool = True,
     ) -> Optional[FaultRule]:
-        """The first rule that fires for this request, if any.
+        """The first rule of one of *kinds* that fires at *target* — a
+        request name (server tick), an event type name (delivery) or a
+        link direction (frame transit) — if any.
 
-        At most one request fault fires per request — composing a kill
-        with an error on the same tick has no analogue in the protocol.
+        Rules are consulted in order and each matching armed rule costs
+        exactly one RNG draw.  At most one fault fires per opportunity:
+        composing a kill with an error on one request, or two link
+        faults on one frame, has no analogue in the protocol.  A caller
+        that applies the rule logs it with :meth:`record`.
         """
         if not self.enabled or self._releasing:
             return None
         for rule in self.rules:
-            if not rule.matches_request(request, client_id):
+            if rule.kind not in kinds or not rule.matches(target, client_id, dedupable):
                 continue
             rule.seen += 1
             if rule.seen <= rule.arm_after or rule.exhausted():
                 continue
-            if self.rng.random() >= rule.probability:
-                continue
-            rule.fires += 1
-            return rule
+            if self.rng.random() < rule.probability:
+                return rule
         return None
 
     def defer_kill(self, client_id: int) -> None:
@@ -391,52 +389,6 @@ class FaultPlan:
     def take_pending_kills(self) -> List[int]:
         pending, self._pending_kills = self._pending_kills, []
         return pending
-
-    # -- delivery-side decisions (called from FaultStage) ------------------
-
-    def pick_delivery_fault(
-        self, client_id: int, type_name: str
-    ) -> Optional[FaultRule]:
-        if not self.enabled or self._releasing:
-            return None
-        for rule in self.rules:
-            if not rule.matches_event(type_name, client_id):
-                continue
-            rule.seen += 1
-            if rule.seen <= rule.arm_after or rule.exhausted():
-                continue
-            if self.rng.random() >= rule.probability:
-                continue
-            rule.fires += 1
-            return rule
-        return None
-
-    # -- link-side decisions (called from LinkFaultInjector) ---------------
-
-    def pick_link_fault(
-        self,
-        direction: str,
-        client_id: Optional[int],
-        dedupable: bool = True,
-    ) -> Optional[FaultRule]:
-        """The first link rule that fires for this frame transit, if
-        any — same RNG discipline as the other pickers: rules in order,
-        one draw per matching armed rule, at most one fault per frame.
-        *dedupable* says whether the frame in transit is one the
-        protocol deduplicates (see :meth:`FaultRule.matches_link`)."""
-        if not self.enabled or self._releasing:
-            return None
-        for rule in self.rules:
-            if not rule.matches_link(direction, client_id, dedupable):
-                continue
-            rule.seen += 1
-            if rule.seen <= rule.arm_after or rule.exhausted():
-                continue
-            if self.rng.random() >= rule.probability:
-                continue
-            rule.fires += 1
-            return rule
-        return None
 
     def hold(self, client_id: int, event) -> None:
         self._held.append((client_id, event))
@@ -491,7 +443,7 @@ class FaultStage:
         if plan is None:
             return False
         type_name = type(event).__name__
-        rule = plan.pick_delivery_fault(self.client_id, type_name)
+        rule = plan.pick(DELIVERY_KINDS, type_name, self.client_id)
         if rule is None:
             return False
         if rule.kind == DELAY:
@@ -499,7 +451,7 @@ class FaultStage:
             detail = "held for release"
         else:
             detail = "discarded"
-        plan.record(rule.kind, type_name, self.client_id, detail, rule)
+        plan.record(rule, type_name, self.client_id, detail)
         self.server.stats().inc("injected", rule.kind)
         return True
 

@@ -40,6 +40,7 @@ from .faults import (
     SHARD_CRASH as FAULT_SHARD_CRASH,
     SHARD_HANG as FAULT_SHARD_HANG,
     STALE as FAULT_STALE,
+    REQUEST_KINDS,
     FaultPlan,
     ShardCrash,
     ShardHang,
@@ -85,6 +86,19 @@ SAVE_SET_DELETE = 1
 MAX_WINDOW_SIZE = 32767
 MIN_COORD = -32768
 MAX_COORD = 32767
+
+#: Request faults that take a process down before the request runs:
+#: the exception raised out of the request and the fault log's detail.
+#: A WM crash leaves the requester's connection and windows to linger
+#: until the supervisor cleans up the corpse; a shard crash or hang
+#: tears nothing down here — the shard's state vanished wholesale or
+#: froze, and the display router fences it and evacuates its clients
+#: from the last checkpoint.
+_CRASHES = {
+    FAULT_CRASH: (WMCrash, "wm process died"),
+    FAULT_SHARD_CRASH: (ShardCrash, "shard process died"),
+    FAULT_SHARD_HANG: (ShardHang, "shard stopped answering"),
+}
 
 
 class XServer:
@@ -345,112 +359,58 @@ class XServer:
                     self.close_client(victim)
         if client_id is not None and client_id not in self.clients:
             raise ConnectionClosed(client_id)
-        rule = plan.pick_request_fault(request, client_id)
+        rule = plan.pick(REQUEST_KINDS, request, client_id)
         if rule is None:
             return
-        # A fault fired: the batch splits here, so everything coalesced
-        # so far is synthesised before the fault's side effects (error
-        # raise, connection close, stale destroy, flood) take place.
+        # A rule was picked: the batch splits here, so everything
+        # coalesced so far is synthesised before the fault's side
+        # effects (error raise, connection close, stale destroy, flood)
+        # take place.  A rule declined below for want of a target still
+        # cost its draw, but is never recorded and never counts as fired.
         self._flush_batch_events()
-        tracer = self.tracer
-        if rule.kind == FAULT_ERROR:
-            plan.record(FAULT_ERROR, request, client_id, rule.error, rule)
-            self._stats.inc("injected", FAULT_ERROR)
-            if tracer.enabled:
-                tracer.note_fault(
-                    FAULT_ERROR, request, self.timestamp, client_id,
-                    rule.error,
-                )
+        kind = rule.kind
+        if kind == FAULT_STALE:
+            target = self._stale_target(caller_locals)
+            if target is None:
+                return  # request names no live window to race
+            detail = f"destroyed {target.id:#x}"
+        elif kind in (FAULT_KILL, FAULT_FLOOD) and client_id not in self.clients:
+            return  # no connection to kill or turn hostile
+        elif kind == FAULT_KILL:
+            detail = f"kill {rule.when}"
+        elif kind == FAULT_FLOOD:
+            detail = f"storm burst={rule.burst}"
+        elif kind == FAULT_ERROR:
+            detail = rule.error
+        else:
+            detail = _CRASHES[kind][1]
+        plan.record(rule, request, client_id, detail)
+        self._stats.inc("injected", kind)
+        if self.tracer.enabled:
+            self.tracer.note_fault(kind, request, self.timestamp, client_id, detail)
+        if kind == FAULT_ERROR:
             raise error_class(rule.error)(
                 None, f"{rule.error} injected into {request}"
             )
-        if rule.kind == FAULT_KILL:
-            if client_id is None or client_id not in self.clients:
-                rule.fires -= 1  # no connection to kill
-                return
-            plan.record(FAULT_KILL, request, client_id, f"kill {rule.when}", rule)
-            self._stats.inc("injected", FAULT_KILL)
-            if tracer.enabled:
-                tracer.note_fault(
-                    FAULT_KILL, request, self.timestamp, client_id,
-                    f"kill {rule.when}",
-                )
+        if kind == FAULT_KILL:
             if rule.when == "after":
                 plan.defer_kill(client_id)
                 return
             self.close_client(client_id)
             raise ConnectionClosed(client_id)
-        if rule.kind == FAULT_CRASH:
-            plan.record(
-                FAULT_CRASH, request, client_id, "wm process died", rule
-            )
-            self._stats.inc("injected", FAULT_CRASH)
-            if tracer.enabled:
-                tracer.note_fault(
-                    FAULT_CRASH, request, self.timestamp, client_id,
-                    "wm process died",
-                )
-            # The requester's process dies before the request runs; its
-            # connection and windows linger until the supervisor cleans
-            # up the corpse (close_client or abandon_client).
-            raise WMCrash(request, client_id)
-        if rule.kind in (FAULT_SHARD_CRASH, FAULT_SHARD_HANG):
-            # The whole display shard fails at this request boundary.
-            # Nothing server-side is torn down here — the shard is one
-            # process whose state either vanished wholesale (crash) or
-            # froze (hang); the display router fences the shard and
-            # evacuates its clients from the last checkpoint.
-            detail = (
-                "shard process died" if rule.kind == FAULT_SHARD_CRASH
-                else "shard stopped answering"
-            )
-            plan.record(rule.kind, request, client_id, detail, rule)
-            self._stats.inc("injected", rule.kind)
-            if tracer.enabled:
-                tracer.note_fault(
-                    rule.kind, request, self.timestamp, client_id, detail
-                )
-            if rule.kind == FAULT_SHARD_CRASH:
-                raise ShardCrash(request, client_id)
-            raise ShardHang(request, client_id)
-        if rule.kind == FAULT_STALE:
-            target = self._stale_target(caller_locals)
-            if target is None:
-                rule.fires -= 1  # request names no live window to race
-                return
-            plan.record(
-                FAULT_STALE, request, client_id, f"destroyed {target.id:#x}", rule
-            )
-            self._stats.inc("injected", FAULT_STALE)
-            if tracer.enabled:
-                tracer.note_fault(
-                    FAULT_STALE, request, self.timestamp, client_id,
-                    f"destroyed {target.id:#x}",
-                )
+        if kind in _CRASHES:
+            raise _CRASHES[kind][0](request, client_id)
+        if kind == FAULT_STALE:
             # The window dies between the caller's lookup and its use;
             # the request then fails with the server's own BadWindow.
             self._destroy_tree(target)
             self._refresh_pointer_window()
             return
-        if rule.kind == FAULT_FLOOD:
-            if client_id is None or client_id not in self.clients:
-                rule.fires -= 1  # nobody to turn hostile
-                return
-            plan.record(
-                FAULT_FLOOD, request, client_id,
-                f"storm burst={rule.burst}", rule,
-            )
-            self._stats.inc("injected", FAULT_FLOOD)
-            if tracer.enabled:
-                tracer.note_fault(
-                    FAULT_FLOOD, request, self.timestamp, client_id,
-                    f"storm burst={rule.burst}",
-                )
-            # The storm runs with the plan suspended: zero RNG draws,
-            # no nested faults — the flood itself is bit-deterministic
-            # and the triggering request then proceeds normally.
-            with plan.suspended():
-                self._run_flood(client_id, rule.burst)
+        # Flood: the storm runs with the plan suspended — zero RNG
+        # draws, no nested faults — so it is bit-deterministic, and the
+        # triggering request then proceeds normally.
+        with plan.suspended():
+            self._run_flood(client_id, rule.burst)
 
     def _run_flood(self, client_id: int, burst: int) -> None:
         """Simulate *client_id* turning hostile mid-run: a synchronous

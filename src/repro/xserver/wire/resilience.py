@@ -77,8 +77,8 @@ from ..faults import (
     CORRUPT,
     DUPLICATE,
     LAG,
+    LINK_KINDS,
     PARTITION,
-    REORDER,
     TRUNCATE,
     ConnectionClosed,
     FaultPlan,
@@ -128,7 +128,7 @@ SEQ_SIZE = SEQ.size
 
 #: Frame kinds the protocol deduplicates (events by sequence number,
 #: heartbeats and acks by idempotence) — the only kinds a DUPLICATE
-#: link fault may hit; see FaultRule.matches_link.
+#: link fault may hit; see FaultRule.matches.
 _DEDUPABLE_KINDS = frozenset((EVENT, PING, PONG, ACK))
 
 
@@ -1184,17 +1184,15 @@ class LinkFaultInjector:
 
     def __init__(
         self,
-        plan: Optional[FaultPlan],
+        plan: FaultPlan,
         direction: str,
         client_id: Optional[Callable[[], Optional[int]]] = None,
         stats=None,
-        transport: str = "framed",
     ):
         self.plan = plan
         self.direction = direction
         self._client_id = client_id or (lambda: None)
         self._stats = stats
-        self._transport = transport
         #: Frames held by lag/reorder: [frames_remaining, frame].
         self._held: List[List[Any]] = []
 
@@ -1204,20 +1202,18 @@ class LinkFaultInjector:
         previously held ones) and whether the link cut underneath."""
         out: List[bytes] = []
         cut = False
-        rule = None
         # Only frames held by EARLIER transits age on this one — a
         # frame held below must wait for subsequent traffic, or a
         # reorder (hold=1) would release within its own transit and
         # never actually swap.
         aging = list(self._held)
-        if self.plan is not None:
-            # Duplicate faults only apply to frames the protocol dedups
-            # (events carry sequence numbers; heartbeats and acks are
-            # idempotent) — the kind byte sits at offset 5 of the header.
-            dedupable = frame[5] in _DEDUPABLE_KINDS
-            rule = self.plan.pick_link_fault(
-                self.direction, self._client_id(), dedupable
-            )
+        # Duplicate faults only apply to frames the protocol dedups
+        # (events carry sequence numbers; heartbeats and acks are
+        # idempotent) — the kind byte sits at offset 5 of the header.
+        rule = self.plan.pick(
+            LINK_KINDS, self.direction, self._client_id(),
+            frame[5] in _DEDUPABLE_KINDS,
+        )
         if rule is None:
             out.append(frame)
         else:
@@ -1245,11 +1241,10 @@ class LinkFaultInjector:
                 self._held.append([hold, frame])
                 detail = f"held for {hold} frame(s)"
             self.plan.record(
-                kind, f"link:{self.direction}", self._client_id(), detail, rule
+                rule, f"link:{self.direction}", self._client_id(), detail
             )
             if self._stats is not None:
                 self._stats.inc("injected", kind)
-                self._stats.inc("wire", self._transport, f"fault_{kind}")
         if not cut:
             for entry in aging:
                 entry[0] -= 1

@@ -10,7 +10,7 @@ import pytest
 
 from repro.session.hints import RestartHints, read_restart_property
 from repro.session.router import BACKOFF_CAP, DisplayRouter
-from repro.xserver.faults import PARTITION, SHARD_CRASH, FaultPlan
+from repro.xserver.faults import LAG, PARTITION, SHARD_CRASH, FaultPlan
 from repro.xserver.shard import HEALTHY
 
 SEED = 424242
@@ -191,6 +191,29 @@ class TestHeartbeats:
         router.pump()
         assert router.shards[1].misses == 0
         assert router.shards[1].health == HEALTHY
+
+    def test_non_partition_probe_faults_are_logged(self, router):
+        """A link fault that does not starve the probe still fires, so
+        it lands in the plan's log and counts like any other fault."""
+        plan = FaultPlan(SEED)
+        rule = plan.rule(
+            LAG,
+            probability=1.0,
+            direction="c2s",
+            clients=(1,),
+            max_fires=3,
+        )
+        router.install_link_faults(plan)
+        for _ in range(4):
+            router.pump()
+        assert rule.fires == 3
+        assert plan.injected(LAG) == 3
+        assert [(f.kind, f.target, f.client_id) for f in plan.log] == [
+            (LAG, "heartbeat", 1)
+        ] * 3
+        assert router.shards[1].health == HEALTHY
+        assert router.shards[1].misses == 0
+        assert router.missed_heartbeats == 0
 
 
 class TestStats:
