@@ -227,6 +227,18 @@ class TestPlanContracts:
     def test_different_seed_different_fault_log(self):
         assert self.workload(1990) != self.workload(90210)
 
+    def test_bare_string_names_are_refused(self):
+        """A bare string is a sequence of one-letter prefixes, so
+        ``requests="map_window"`` would match ``move_window``: refuse it
+        rather than fault requests the rule never named."""
+        with pytest.raises(ValueError):
+            FaultRule(ERROR, requests="map_window")
+        with pytest.raises(ValueError):
+            FaultRule(DROP, events="Expose")
+        rule = FaultRule(ERROR, requests=("map_window",))
+        assert rule.matches("map_window", 3)
+        assert not rule.matches("move_window", 3)
+
     def test_suspended_blocks_injection(self, server, conn):
         wid = make_window(conn)
         plan = FaultPlan(seed=7)
