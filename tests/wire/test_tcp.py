@@ -9,10 +9,12 @@ pauses in ``server.stats()``.
 """
 
 import random
+import select
 import socket
 import struct
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -517,6 +519,100 @@ class TestTcpResilience:
             assert ws.call(lambda: cid not in rserver.clients)
             assert ws.call(lambda: ws.sessions.parked_count()) == 0
             sock.close()
+            assert ws.errors == []
+        finally:
+            ws.stop()
+
+
+def dropped(sock, wait):
+    """True once the server has closed *sock*: EOF or a reset within
+    *wait* seconds.  PING probes that arrive meanwhile are discarded."""
+    deadline = time.monotonic() + wait
+    while True:
+        left = deadline - time.monotonic()
+        if left <= 0 or not select.select((sock,), (), (), left)[0]:
+            return False
+        try:
+            if not sock.recv(4096):
+                return True
+        except OSError:
+            return True
+
+
+class TestSlowDrip:
+    """A peer that never finishes a frame is dropped by the heartbeat,
+    with no deadline of its own: partial bytes are not traffic, so the
+    peer misses every probe.  The server is the default lifecycle with
+    only its timing shortened."""
+
+    TICK = 0.05
+    BUDGET = 3
+    GRACE = 1.0
+    SLACK = 0.5
+
+    def test_half_header_and_byte_drip_peers_are_dropped(self, rserver):
+        defaults = WireServer(rserver).resilience
+        ws = WireServer(rserver, resilience=replace(
+            defaults, heartbeat_interval=self.TICK,
+            miss_budget=self.BUDGET, park_grace=self.GRACE,
+        ))
+        ws.start()
+        try:
+            opened = time.monotonic()
+            header_only = socket.create_connection(
+                ("127.0.0.1", ws.port), timeout=5
+            )
+            header_only.sendall(encode_frame(HELLO, 0, b"")[:4])
+
+            drip = socket.create_connection(("127.0.0.1", ws.port), timeout=5)
+            drip.sendall(encode_frame(HELLO, 0, encode_value(
+                {"name": "drip", "coalesce": True}
+            )))
+            decoder = FrameDecoder()
+            frames = []
+            while not frames:
+                frames.extend(decoder.feed(drip.recv(4096)))
+            cid = decode_value(frames[0].payload)["client_id"]
+            dripping = time.monotonic()
+            frame = encode_frame(
+                REQUEST, *encode_request("intern_atom", ("D" * 200,), {})
+            )
+            drops = {}
+            for byte in frame[:-1]:
+                try:
+                    drip.sendall(bytes((byte,)))
+                except OSError:
+                    pass  # reset by the server: dropped() sees it too
+                if "header" not in drops and dropped(header_only, 0):
+                    drops["header"] = time.monotonic() - opened
+                if dropped(drip, self.TICK):
+                    drops["drip"] = time.monotonic() - dripping
+                    break
+            if "header" not in drops and dropped(header_only, 5):
+                drops["header"] = time.monotonic() - opened
+            assert "drip" in drops, "the drip peer finished unanswered"
+            assert "header" in drops, "the half-header peer is still held"
+            bound = (self.BUDGET + 1) * self.TICK + self.SLACK
+            assert drops["header"] <= bound, drops
+            assert drops["drip"] <= bound, drops
+
+            def lifecycle():
+                stats = rserver.stats()
+                return {key: stats.get("wire", transport="tcp", key=key)
+                        for key in ("peers_reaped", "parked", "park_expired")}
+
+            # The post-HELLO peer parked with its record intact...
+            assert ws.call(lambda: cid in rserver.clients)
+            assert ws.call(lambda: ws.sessions.parked_count()) == 1
+            # ...and is rescued once park_grace has passed.
+            assert wait_until(lambda: ws.call(lifecycle) == {
+                "peers_reaped": 2, "parked": 1, "park_expired": 1,
+            })
+            assert time.monotonic() - dripping >= self.GRACE
+            assert ws.call(lambda: cid not in rserver.clients)
+            assert ws.call(lambda: ws.sessions.parked_count()) == 0
+            header_only.close()
+            drip.close()
             assert ws.errors == []
         finally:
             ws.stop()
