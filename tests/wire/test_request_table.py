@@ -9,6 +9,9 @@
   recorded by the loopback drain and the server's own flusher only.
 - ``count_discards`` from a peer accepts only event class names, so a
   hostile peer cannot grow the stats counters without bound.
+- ``change_property`` refuses a type atom that does not exist with
+  BadAtom, as X11's ChangeProperty does, so the peer's stored property
+  can always be encoded back to it.
 """
 
 import random
@@ -18,7 +21,7 @@ import pytest
 from repro.xserver import ClientConnection, EventMask, XServer
 from repro.xserver import events as ev
 from repro.xserver.bitmap import Bitmap
-from repro.xserver.errors import BadRequest, BadValue, XError
+from repro.xserver.errors import BadAtom, BadRequest, BadValue, XError
 from repro.xserver.quotas import QuotaLimits
 from repro.xserver.requests import REQUESTS as TABLE
 from repro.xserver.wire import FramedHost, FramedTransport
@@ -258,3 +261,16 @@ class TestCountDiscardsFromAPeer:
         stats = server.stats()
         assert stats.get("dropped", type="Expose", client=conn.client_id) == 2
         assert stats.get("dropped", type="MotionNotify") == 1
+
+
+class TestChangePropertyTypeAtom:
+    def test_unknown_type_atom_is_bad_atom_and_the_peer_lives_on(self):
+        server = XServer()
+        conn = ClientConnection(name="app",
+                                transport=FramedTransport(FramedHost(server)))
+        wid = conn.create_window(conn.root_window(), 0, 0, 20, 20)
+        with pytest.raises(BadAtom):
+            conn.change_property(wid, 39, -1, 8, "x")
+        assert conn.get_property(wid, 39) is None
+        assert conn.map_window(wid) is True
+        assert conn.is_alive()
