@@ -1078,6 +1078,8 @@ class XServer:
         window = self.window(wid)
         if not self.atoms.exists(atom):
             raise BadAtom(atom)
+        if not self.atoms.exists(type_atom):
+            raise BadAtom(type_atom)
         # Two-phase quota charge: check before the property map is
         # touched (a denial mutates nothing), commit only after the
         # change succeeded (a BadMatch/BadValue never overcharges).
