@@ -582,6 +582,11 @@ def _error_registry() -> Dict[str, type]:
     return registry
 
 
+#: Built once: every XError subclass is defined in ``errors.py`` or
+#: ``quotas.py``, and both are imported above.
+_ERRORS = _error_registry()
+
+
 def encode_error(exc: BaseException) -> bytes:
     """Serialize an exception for an ERROR frame.  X errors keep their
     class, resource and message; ConnectionClosed/WMCrash keep their
@@ -625,8 +630,7 @@ def decode_error(payload: bytes) -> Exception:
     if not isinstance(body, dict) or "name" not in body:
         raise WireProtocolError("malformed error payload")
     name = body["name"]
-    registry = _error_registry()
-    cls = registry.get(name)
+    cls = _ERRORS.get(name)
     if cls is None:
         raise WireProtocolError(f"unknown error class {name!r}")
     if issubclass(cls, XError):
