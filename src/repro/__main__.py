@@ -77,16 +77,20 @@ def demo() -> int:
 
 def _wire_options(opts):
     """Map the shared ``--timeout`` / ``--heartbeat-interval`` flags to
-    the wire layer's knobs.  A zero heartbeat interval turns the
-    resilience layer off entirely (bare timeouts, no parking)."""
+    the wire layer's knobs."""
     from .xserver.wire import ResilienceConfig, WireTimeouts
 
     timeouts = WireTimeouts.uniform(opts.timeout)
-    resilience = (
-        ResilienceConfig(heartbeat_interval=opts.heartbeat_interval)
-        if opts.heartbeat_interval > 0 else None
-    )
+    resilience = ResilienceConfig(heartbeat_interval=opts.heartbeat_interval)
     return timeouts, resilience
+
+
+def _positive_seconds(text: str) -> float:
+    """argparse type for a period that must be greater than zero."""
+    seconds = float(text)
+    if not seconds > 0:  # also refuses nan
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return seconds
 
 
 def serve(opts) -> int:
@@ -257,10 +261,11 @@ def main(argv=None) -> int:
             " (WireTimeouts.uniform; default: 10.0)",
         )
         sub_parser.add_argument(
-            "--heartbeat-interval", type=float, default=1.0,
+            "--heartbeat-interval", type=_positive_seconds, default=1.0,
             metavar="SECONDS",
-            help="liveness probe period for the resilience layer;"
-            " 0 disables heartbeats, parking and resume (default: 1.0)",
+            help="liveness probe period, > 0: a peer silent for 4 periods"
+            " (or stuck mid-frame) is dropped and its session parked for"
+            " resume (default: 1.0)",
         )
 
     serve_p = sub.add_parser(

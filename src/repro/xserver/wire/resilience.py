@@ -160,7 +160,7 @@ class WireTimeouts:
 
     connect: float = 10.0    # socket connect / server thread startup
     handshake: float = 10.0  # HELLO -> WELCOME round-trip
-    rpc: float = 10.0        # REQUEST -> REPLY round-trip (and call())
+    rpc: float = 10.0        # WireServer.call() round-trip
     shutdown: float = 10.0   # server loop-thread join
 
     @classmethod
@@ -175,9 +175,10 @@ class WireTimeouts:
 class ResilienceConfig:
     """Tuning for heartbeats, parking, replay and reconnect backoff.
 
-    Passing an instance to ``WireServer``/``TcpTransport``/``FramedHost``
-    turns resilience on; ``None`` (the default everywhere) keeps the
-    seed wire behaviour bit-for-bit."""
+    Every wire class holds one: ``WireServer``, ``TcpTransport``,
+    ``FramedHost``, ``WireSession`` and ``ClientWire``.  They default to
+    ``ResilienceConfig()``; the instance is frozen, so one shared
+    default is safe."""
 
     #: Seconds between liveness probes (both directions).
     heartbeat_interval: float = 1.0
@@ -371,11 +372,11 @@ class WireSession:
     def __init__(
         self,
         server: XServer,
-        sessions: Optional["SessionTable"],
+        sessions: SessionTable,
         send: Callable[[bytes], None],
         close_link: Callable[[], None],
         *,
-        resilience: Optional[ResilienceConfig] = None,
+        resilience: ResilienceConfig = ResilienceConfig(),
         transport: str = "wire",
         writable: Optional[Callable[[], bool]] = None,
         on_error: Optional[Callable[[BaseException], None]] = None,
@@ -391,8 +392,9 @@ class WireSession:
         self._stats = server.stats()
         self._decoder = FrameDecoder()
         self.record: Optional[ServerConnection] = None
+        #: Minted at HELLO, or taken over by a resume.
         self.token: Optional[str] = None
-        self.ring: Optional[ReplayRing] = None
+        self.ring = ReplayRing(resilience.ring_capacity)
         #: Last event sequence number assigned (0 = none yet).
         self.last_seq = 0
         #: Requests executed on this session (the server's ledger half).
@@ -461,8 +463,7 @@ class WireSession:
             if len(frame.payload) != SEQ_SIZE:
                 raise WireProtocolError("malformed ACK payload")
             (seq,) = SEQ.unpack(frame.payload)
-            if self.ring is not None:
-                self.ring.ack(seq)
+            self.ring.ack(seq)
             return
         if frame.kind != REQUEST:
             raise WireProtocolError(
@@ -482,21 +483,16 @@ class WireSession:
         record.on_event = self._on_event
         record.on_closed = self._on_server_closed
         self.record = record
-        welcome: Dict[str, Any] = {
+        self.token = self.sessions.mint()
+        cfg = self.resilience
+        self._send(WELCOME, 0, encode_value({
             "client_id": record.client_id,
             "xid_base": record.xids.base,
-        }
-        cfg = self.resilience
-        if cfg is not None and self.sessions is not None:
-            self.token = self.sessions.mint()
-            self.ring = ReplayRing(cfg.ring_capacity)
-            welcome.update({
-                "resume_token": self.token,
-                "heartbeat_interval": cfg.heartbeat_interval,
-                "miss_budget": cfg.miss_budget,
-                "ack_every": cfg.ack_every,
-            })
-        self._send(WELCOME, 0, encode_value(welcome))
+            "resume_token": self.token,
+            "heartbeat_interval": cfg.heartbeat_interval,
+            "miss_budget": cfg.miss_budget,
+            "ack_every": cfg.ack_every,
+        }))
 
     def _handle_request(self, frame: Frame) -> None:
         assert self.record is not None
@@ -526,9 +522,6 @@ class WireSession:
             replies_seen = int(claim.get("replies_seen", 0))
         except (TypeError, ValueError):
             raise WireProtocolError("malformed RESUME counters") from None
-        if self.sessions is None or self.resilience is None:
-            self._reject_resume("resilience-disabled", None)
-            return
         parked = self.sessions.claim(str(claim["token"]))
         if parked is None:
             self._reject_resume("unknown-token", None)
@@ -583,18 +576,9 @@ class WireSession:
         except Exception:  # pragma: no cover - best effort
             pass
         if parked is not None:
-            # Bottom rung of the degradation ladder: resume impossible,
-            # so the ordinary close path runs — save-set rescue included.
-            self._stats.inc("wire", self.transport_name, "sessions_lost")
-            record = parked.record
-            record.on_event = None
-            record.on_closed = None
-            record.parked = False
-            if record.registered():
-                try:
-                    self.server.close_client(record.client_id)
-                except Exception as err:
-                    self._on_error(err)
+            rescue_expired(
+                self.server, parked, self._on_error, self.transport_name
+            )
         self.finished = True
         self._close_link()
 
@@ -617,8 +601,7 @@ class WireSession:
         while queue and self._writable():
             opcode, payload = encode_event(queue.popleft())
             self.last_seq += 1
-            if self.ring is not None:
-                self.ring.append(self.last_seq, opcode, payload)
+            self.ring.append(self.last_seq, opcode, payload)
             self._send(EVENT, opcode, SEQ.pack(self.last_seq) + payload)
             wrote = True
         if wrote and record.registered():
@@ -635,9 +618,10 @@ class WireSession:
     def heartbeat_tick(self) -> None:
         """One heartbeat interval elapsed: reset or bump the miss
         counter, reap a silent peer past its budget (the session parks
-        via :meth:`on_link_lost`, never an abrupt close), else probe."""
-        cfg = self.resilience
-        if cfg is None or self.finished:
+        via :meth:`on_link_lost`, never an abrupt close), else probe.
+        A partial frame is not traffic, so a peer that never finishes one
+        is reaped like a silent one."""
+        if self.finished:
             return
         if self._saw_traffic:
             self._saw_traffic = False
@@ -645,7 +629,7 @@ class WireSession:
         else:
             self._misses += 1
             self._stats.inc("wire", self.transport_name, "heartbeat_misses")
-            if self._misses > cfg.miss_budget:
+            if self._misses > self.resilience.miss_budget:
                 self._stats.inc("wire", self.transport_name, "peers_reaped")
                 self._close_link()
                 return
@@ -657,9 +641,8 @@ class WireSession:
 
     def on_link_lost(self) -> None:
         """The adapter's link died (peer disconnect, reap, protocol
-        error).  With resilience on, park the session for the grace
-        window; otherwise — or before the handshake — this is the old
-        behaviour: close the client outright."""
+        error).  Park the session for the grace window; before the
+        handshake there is nothing to park."""
         if self.finished:
             return
         self.finished = True
@@ -670,21 +653,14 @@ class WireSession:
         record.on_closed = None
         if not record.registered():
             return
-        cfg = self.resilience
-        if cfg is None or self.sessions is None or self.token is None:
-            try:
-                self.server.close_client(record.client_id)
-            except Exception as err:
-                self._on_error(err)
-            return
         parked = ParkedSession(
             token=self.token,
             record=record,
-            ring=self.ring if self.ring is not None else ReplayRing(1),
+            ring=self.ring,
             last_seq=self.last_seq,
             executed=self.executed,
             last_reply=self.last_reply,
-            deadline=self.sessions.clock() + cfg.park_grace,
+            deadline=self.sessions.clock() + self.resilience.park_grace,
         )
         parked.attach(self.sessions)
         self.sessions.park(parked)
@@ -707,23 +683,23 @@ class WireSession:
             except Exception:  # pragma: no cover - best effort
                 pass
         # Dropping the link (not the session): garbage on the wire may
-        # be the link's fault, not the peer's — with resilience on, the
-        # adapter's link-loss callback parks and the peer may resume on
-        # a clean link; the grace window bounds a truly hostile peer.
+        # be the link's fault, not the peer's — the adapter's link-loss
+        # callback parks and the peer may resume on a clean link; the
+        # grace window bounds a truly hostile peer.
         self._close_link()
 
 
 def rescue_expired(
     server: XServer,
     parked: ParkedSession,
-    errors: List[BaseException],
+    on_error: Callable[[BaseException], None],
     transport: str,
 ) -> None:
-    """A parked session outlived its grace window: run the ordinary
-    close path (save-set rescue) and count the loss."""
-    stats = server.stats()
-    stats.inc("wire", transport, "park_expired")
-    stats.inc("wire", transport, "sessions_lost")
+    """A parked session that can no longer resume (its grace window
+    ended, or its resume was refused): the bottom rung of the
+    degradation ladder.  Run the ordinary close path (save-set rescue)
+    and count the loss."""
+    server.stats().inc("wire", transport, "sessions_lost")
     record = parked.record
     record.on_event = None
     record.on_closed = None
@@ -732,7 +708,7 @@ def rescue_expired(
         try:
             server.close_client(record.client_id)
         except Exception as err:  # pragma: no cover - server bug
-            errors.append(err)
+            on_error(err)
 
 
 class ClientSession:
@@ -749,8 +725,6 @@ class ClientSession:
         self.client_id = -1
         self.xid_base = 0
         self.token: Optional[str] = None
-        self.heartbeat_interval: Optional[float] = None
-        self.miss_budget = 3
         self.requests_sent = 0
         self.replies_seen = 0
         #: The encoded frame of the request in flight (retransmitted
@@ -767,18 +741,14 @@ class ClientSession:
 
     def handle_welcome(self, payload: bytes) -> None:
         info = decode_value(payload)
-        if not isinstance(info, dict) or "client_id" not in info:
+        if (not isinstance(info, dict) or "client_id" not in info
+                or "resume_token" not in info):
             raise WireProtocolError("malformed WELCOME payload")
         self.client_id = int(info["client_id"])
         self.xid_base = int(info.get("xid_base", 0))
-        token = info.get("resume_token")
-        self.token = str(token) if token is not None else None
+        self.token = str(info["resume_token"])
         if "ack_every" in info:
             self.ack_every = int(info["ack_every"])
-        if "heartbeat_interval" in info:
-            self.heartbeat_interval = float(info["heartbeat_interval"])
-        if "miss_budget" in info:
-            self.miss_budget = int(info["miss_budget"])
 
     def resume_payload(self) -> bytes:
         return encode_value({
@@ -858,16 +828,14 @@ class ClientWire(Transport):
     against loopback behaves the same across a wire.
 
     While a wait is silent the client probes with PING, up to
-    ``miss_budget`` probes (one without resilience); the round-trip
-    also ages frames a lag fault holds, so a delayed REPLY shakes
-    loose.  A spent budget, a dropped link, undecodable bytes or an
-    unsolicited reply send the session through :meth:`_recover`:
-    reconnect under seeded-jitter backoff and RESUME by token.  The
-    in-flight request is retransmitted or its cached reply collected,
-    and replayed events are deduplicated, so the application never
-    observes the flap until the session is truly lost
-    (:class:`SessionLost`, or :class:`ConnectionClosed` without
-    resilience).
+    ``miss_budget`` probes; the round-trip also ages frames a lag fault
+    holds, so a delayed REPLY shakes loose.  A spent budget, a dropped
+    link, undecodable bytes or an unsolicited reply send the session
+    through :meth:`_recover`: reconnect under seeded-jitter backoff and
+    RESUME by token.  The in-flight request is retransmitted or its
+    cached reply collected, and replayed events are deduplicated, so
+    the application never observes the flap until the session is truly
+    lost (:class:`SessionLost`).
 
     Backends supply only the link: :meth:`_open_link`,
     :meth:`_send_link`, :meth:`_recv_link` (``b""`` while the link is
@@ -875,7 +843,7 @@ class ClientWire(Transport):
     raise :class:`_LinkDown` once the link is gone.
     """
 
-    def __init__(self, resilience: Optional[ResilienceConfig],
+    def __init__(self, resilience: ResilienceConfig,
                  sleep: Callable[[float], None]):
         self.resilience = resilience
         self.queue: Deque[ev.Event] = deque()
@@ -915,12 +883,8 @@ class ClientWire(Transport):
     def connect(self, proxy, name: str, coalesce: bool) -> None:
         self._proxy = proxy
         cfg = self.resilience
-        cs = self._cs = ClientSession(
-            name, coalesce, ack_every=cfg.ack_every if cfg else 64
-        )
-        self._rng = random.Random(
-            (cfg.seed if cfg else 0) ^ zlib.crc32(name.encode("utf-8"))
-        )
+        cs = self._cs = ClientSession(name, coalesce, ack_every=cfg.ack_every)
+        self._rng = random.Random(cfg.seed ^ zlib.crc32(name.encode("utf-8")))
         self._reopen()
         try:
             self._send_link(encode_frame(HELLO, 0, cs.hello_payload()))
@@ -939,8 +903,6 @@ class ClientWire(Transport):
         opcode, payload = encode_request(name, args, kwargs or {})
         frame = encode_frame(REQUEST, opcode, payload)
         cs.note_request(frame)
-        cfg = self.resilience
-        limit = cfg.max_attempts if cfg is not None else 1
         recoveries = 0
         needs_send = True
         while True:
@@ -959,7 +921,7 @@ class ClientWire(Transport):
                 return self._finish()
             except (_LinkDown, LinkDesync):
                 recoveries += 1
-                if recoveries > limit:
+                if recoveries > self.resilience.max_attempts:
                     raise self._die(SessionLost(
                         self.client_id, "recovery limit exceeded"
                     )) from None
@@ -1053,8 +1015,7 @@ class ClientWire(Transport):
     def _await(self, kinds: Tuple[int, ...]) -> Frame:
         """Read until a frame of *kinds* arrives.  A silent link is
         probed with PING; past the budget the server is hung."""
-        cfg = self.resilience
-        budget = cfg.miss_budget if cfg is not None else 1
+        budget = self.resilience.miss_budget
         probes = 0
         while True:
             frame = self._next_pending(kinds)
@@ -1125,13 +1086,10 @@ class ClientWire(Transport):
     def _recover(self) -> None:
         """Reconnect under bounded, seeded-jitter exponential backoff
         and resume by token.  Raises :class:`SessionLost` (after the
-        server ran save-set rescue) or plain :class:`ConnectionClosed`
-        when resilience is off — never hangs, never loops forever."""
-        cfg = self.resilience
+        server ran save-set rescue) — never hangs, never loops forever."""
         cs = self._cs
-        if cfg is None or cs is None or cs.token is None:
-            raise self._die(ConnectionClosed(self.client_id))
-        for delay in Backoff(cfg, self._rng).delays():
+        assert cs is not None
+        for delay in Backoff(self.resilience, self._rng).delays():
             self.delays.append(delay)
             self._sleep(delay)
             try:
@@ -1274,7 +1232,7 @@ class FramedHost:
     def __init__(
         self,
         server: XServer,
-        resilience: Optional[ResilienceConfig] = None,
+        resilience: ResilienceConfig = ResilienceConfig(),
         clock: Optional[ManualClock] = None,
     ):
         self.server = server
@@ -1303,7 +1261,8 @@ class FramedHost:
 
     def reap_expired(self) -> None:
         for parked in self.sessions.expire():
-            rescue_expired(self.server, parked, self.errors, "framed")
+            self.server.stats().inc("wire", "framed", "park_expired")
+            rescue_expired(self.server, parked, self.errors.append, "framed")
 
 
 class _FramedLink:
@@ -1377,7 +1336,7 @@ class _FramedLink:
 
     def cut(self) -> None:
         """Tear the link (either side); idempotent.  The server session
-        parks or closes via its link-loss path."""
+        parks via its link-loss path."""
         if not self.up:
             return
         self.up = False

@@ -27,11 +27,13 @@ and the pipeline's ``BackpressureStage`` sheds and throttles exactly as
 it would for a slow in-process reader.  Pauses/resumes are visible in
 ``server.stats()`` under the ``tcp`` wire counters.
 
-With a :class:`~repro.xserver.wire.resilience.ResilienceConfig` the
-server heartbeats every connection from the loop (reaping silent peers
-into the parking lot) and expires parked sessions whose grace window
-ended; without one the wire behaves exactly as it did before
-resilience existed.
+One timer on the loop, the heartbeat, runs every connection's
+lifecycle (:class:`~repro.xserver.wire.resilience.ResilienceConfig`):
+it probes each peer, reaps one that stays silent past its miss budget
+into the parking lot, and expires parked sessions whose grace window
+ended.  Bytes of an unfinished frame are not traffic, so a peer that
+never finishes a frame (half a header, or a request dripped a byte at a
+time) is reaped like a silent one, within ``miss_budget + 1`` intervals.
 
 :class:`TcpTransport` is the client half: the shared
 :class:`~repro.xserver.wire.resilience.ClientWire` core (synchronous
@@ -111,8 +113,7 @@ class _WireProtocol(asyncio.Protocol):
     def connection_lost(self, exc) -> None:
         self.wire._protocols.discard(self)
         self._closing = True
-        # Parks the session (resilience) or closes the client (not).
-        self.session.on_link_lost()
+        self.session.on_link_lost()  # parks the session
 
     def pause_writing(self) -> None:
         self._paused = True
@@ -172,9 +173,9 @@ class WireServer:
     clients.  All XServer access happens on the loop thread; use
     :meth:`call` to run server inspections there from other threads.
     Wall-clock bounds come from *timeouts* (a
-    :class:`~repro.xserver.wire.resilience.WireTimeouts`); passing a
-    :class:`~repro.xserver.wire.resilience.ResilienceConfig` as
-    *resilience* turns on heartbeats, session parking and resume.
+    :class:`~repro.xserver.wire.resilience.WireTimeouts`); heartbeats,
+    session parking and resume are tuned by *resilience* (a
+    :class:`~repro.xserver.wire.resilience.ResilienceConfig`).
     """
 
     def __init__(
@@ -185,7 +186,7 @@ class WireServer:
         write_high_water: int = 64 * 1024,
         sndbuf: Optional[int] = None,
         timeouts: Optional[WireTimeouts] = None,
-        resilience: Optional[ResilienceConfig] = None,
+        resilience: ResilienceConfig = ResilienceConfig(),
     ):
         self.server = server
         self.host = host
@@ -194,11 +195,8 @@ class WireServer:
         self.sndbuf = sndbuf
         self.timeouts = timeouts if timeouts is not None else WireTimeouts()
         self.resilience = resilience
-        #: Parked sessions awaiting resume (None when resilience is off).
-        self.sessions: Optional[SessionTable] = (
-            SessionTable(clock=time.monotonic) if resilience is not None
-            else None
-        )
+        #: Parked sessions awaiting resume.
+        self.sessions = SessionTable(clock=time.monotonic)
         #: Unhandled exceptions (server bugs): must stay empty.
         self.errors: List[BaseException] = []
         self._protocols: set = set()
@@ -296,10 +294,9 @@ class WireServer:
             self._ready.set()
             loop.close()
             return
-        if self.resilience is not None:
-            self._hb_handle = loop.call_later(
-                self.resilience.heartbeat_interval, self._heartbeat
-            )
+        self._hb_handle = loop.call_later(
+            self.resilience.heartbeat_interval, self._heartbeat
+        )
         self._ready.set()
         try:
             loop.run_forever()
@@ -318,11 +315,11 @@ class WireServer:
         self._hb_handle = None
         for proto in list(self._protocols):
             proto.session.heartbeat_tick()
-        if self.sessions is not None:
-            for parked in self.sessions.expire():
-                rescue_expired(self.server, parked, self.errors, "tcp")
+        for parked in self.sessions.expire():
+            self.server.stats().inc("wire", "tcp", "park_expired")
+            rescue_expired(self.server, parked, self.errors.append, "tcp")
         loop = self._loop
-        if loop is not None and loop.is_running() and self.resilience is not None:
+        if loop is not None and loop.is_running():
             self._hb_handle = loop.call_later(
                 self.resilience.heartbeat_interval, self._heartbeat
             )
@@ -339,14 +336,13 @@ class TcpTransport(ClientWire):
     :class:`~repro.xserver.client.ClientConnection` via ``transport=``.
 
     Wall-clock bounds come from *timeouts* (default
-    ``WireTimeouts.uniform(10.0)``).  A blocking read gives
-    up after the heartbeat interval with a *resilience* config (so
-    silence triggers a PING probe) and after the rpc bound without one.
+    ``WireTimeouts.uniform(10.0)``).  A blocking read gives up after
+    *resilience*'s heartbeat interval, so silence triggers a PING probe.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 6600,
                  timeouts: Optional[WireTimeouts] = None,
-                 resilience: Optional[ResilienceConfig] = None,
+                 resilience: ResilienceConfig = ResilienceConfig(),
                  sleep=time.sleep):
         super().__init__(resilience, sleep)
         self.host = host
@@ -356,23 +352,18 @@ class TcpTransport(ClientWire):
         )
         self._sock: Optional[socket.socket] = None
         #: Read timeout of the current phase (handshake, steady, close).
-        self._wait = self._read_timeout()
+        self._wait = resilience.heartbeat_interval
 
     def connect(self, proxy, name: str, coalesce: bool) -> None:
         self._wait = self.timeouts.handshake
         try:
             super().connect(proxy, name, coalesce)
         finally:
-            self._set_wait(self._read_timeout())
+            self._set_wait(self.resilience.heartbeat_interval)
 
     def close(self) -> None:
         self._set_wait(self.timeouts.shutdown)
         super().close()
-
-    def _read_timeout(self) -> float:
-        if self.resilience is not None:
-            return self.resilience.heartbeat_interval
-        return self.timeouts.rpc
 
     def _set_wait(self, seconds: float) -> None:
         self._wait = seconds

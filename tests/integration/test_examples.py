@@ -50,3 +50,15 @@ def test_module_demo_runs(capsys):
     assert demo.main([]) == 0
     output = capsys.readouterr().out
     assert "1010, 359" in output
+
+
+@pytest.mark.parametrize("interval", ["0", "-1", "nan"])
+@pytest.mark.parametrize("command", ["serve", "connect"])
+def test_heartbeat_interval_must_be_positive(command, interval, capsys):
+    """The wire has one lifecycle: no flag value switches it off."""
+    import repro.__main__ as cli
+
+    with pytest.raises(SystemExit) as exited:
+        cli.main([command, "--heartbeat-interval", interval])
+    assert exited.value.code == 2
+    assert "must be > 0" in capsys.readouterr().err

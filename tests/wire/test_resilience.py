@@ -266,15 +266,16 @@ class TestResumeHandshake:
         assert welcome["miss_budget"] == 3
         assert welcome["ack_every"] == 64
 
-    def test_no_resilience_means_no_token_and_close_on_cut(self, server):
-        host = FramedHost(server)  # resilience off
-        peer, welcome = raw_hello(host)
-        assert "resume_token" not in welcome
-        cid = welcome["client_id"]
-        peer.link.cut()
-        # Old behaviour bit-for-bit: the client closes outright.
-        assert cid not in server.clients
+    def test_cut_before_hello_parks_nothing(self, server):
+        host = make_host(server)
+        clients = dict(server.clients)
+        link = host.open_link()
+        link.send(encode_frame(HELLO, 0, b"")[:4])  # half a header
+        link.cut()
+        assert server.clients == clients
         assert host.sessions.parked_count() == 0
+        assert framed(server, "parked") == 0
+        assert host.errors == []
 
     def test_cached_reply_resent_never_reexecuted(self, server):
         host = make_host(server)

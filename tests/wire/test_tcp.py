@@ -65,11 +65,20 @@ def server():
     ))
 
 
+#: Heartbeats often enough that a park expires promptly, with a miss
+#: budget (10 s of silence) that no raw test peer, which never answers
+#: a PING, exhausts mid-test.
+FAST_LIFECYCLE = ResilienceConfig(
+    heartbeat_interval=0.05, miss_budget=200, park_grace=0.2,
+)
+
+
 @pytest.fixture
 def wire(server):
     # Small socket/write buffers so a non-reading peer triggers
     # pause_writing within test-sized floods.
-    ws = WireServer(server, write_high_water=16 * 1024, sndbuf=8 * 1024)
+    ws = WireServer(server, write_high_water=16 * 1024, sndbuf=8 * 1024,
+                    resilience=FAST_LIFECYCLE)
     ws.start()
     yield ws
     ws.stop()
@@ -92,6 +101,22 @@ def tiny_rcvbuf_socket(port):
     sock.settimeout(10)
     sock.connect(("127.0.0.1", port))
     return sock
+
+
+def raw_hello(sock, name):
+    """HELLO on a raw socket: the WELCOME payload and the stream's
+    decoder.  A heartbeat PING may arrive first; it is skipped."""
+    sock.sendall(encode_frame(HELLO, 0, encode_value(
+        {"name": name, "coalesce": True}
+    )))
+    decoder = FrameDecoder()
+    while True:
+        chunk = sock.recv(4096)
+        if not chunk:
+            raise ConnectionError("server closed during handshake")
+        for frame in decoder.feed(chunk):
+            if frame.kind == WELCOME:
+                return decode_value(frame.payload), decoder
 
 
 def tcp_pauses(wire):
@@ -402,50 +427,66 @@ class TestStartupFailure:
 
 class TestAbruptDisconnect:
     """A peer that vanishes at the worst possible byte costs exactly
-    its own connection: the record is cleaned up (save-set rescue runs)
-    and no exception escapes to the loop."""
+    its own connection: its session parks for ``park_grace``, then the
+    record is cleaned up (save-set rescue runs) and no exception
+    escapes to the loop."""
 
-    def handshake(self, sock, name="abrupt"):
-        sock.sendall(encode_frame(HELLO, 0, encode_value(
-            {"name": name, "coalesce": True}
-        )))
-        decoder = FrameDecoder()
-        frames = []
-        while not frames:
-            chunk = sock.recv(4096)
-            if not chunk:
-                raise ConnectionError("server closed during handshake")
-            frames.extend(decoder.feed(chunk))
-        assert frames[0].kind == WELCOME
-        return decode_value(frames[0].payload), decoder
+    def handshake(self, wire, sock):
+        """HELLO, then a mapped window owned by the peer (made
+        server-side): the WELCOME payload, the decoder and the window."""
+        welcome, decoder = raw_hello(sock, "abrupt")
+        cid = welcome["client_id"]
+
+        def give_window():
+            server = wire.server
+            wid = server.create_window(
+                cid, server.clients[cid].xids.allocate(),
+                server.screens[0].root.id, 0, 0, 10, 10,
+            ).id
+            server.map_window(cid, wid)
+            return wid
+
+        return welcome, decoder, wire.call(give_window)
 
     def request_frame(self):
         return encode_frame(
             REQUEST, *encode_request("intern_atom", ("ABRUPT",), {})
         )
 
-    def assert_cleaned_up(self, wire, server, cid):
-        assert wait_until(
-            lambda: wire.call(lambda: cid not in server.clients)
-        )
+    def assert_parked_then_rescued(self, wire, server, cid, wid):
+        def lifecycle():
+            stats = server.stats()
+            return {key: stats.get("wire", transport="tcp", key=key)
+                    for key in ("parked", "park_expired")}
+
+        assert wait_until(lambda: wire.call(lifecycle) == {
+            "parked": 1, "park_expired": 1,
+        })
+        assert wire.call(lambda: cid not in server.clients)
+        assert wire.call(lambda: wid not in server.windows)
+        assert wire.call(lambda: wire.sessions.parked_count()) == 0
         assert wire.errors == []
 
     def test_close_mid_frame_header(self, server, wire):
         with socket.create_connection(
             ("127.0.0.1", wire.port), timeout=5
         ) as sock:
-            welcome, _ = self.handshake(sock)
+            welcome, _, wid = self.handshake(wire, sock)
             sock.sendall(self.request_frame()[:5])  # half a header
-        self.assert_cleaned_up(wire, server, welcome["client_id"])
+        self.assert_parked_then_rescued(
+            wire, server, welcome["client_id"], wid
+        )
 
     def test_close_mid_frame_payload(self, server, wire):
         with socket.create_connection(
             ("127.0.0.1", wire.port), timeout=5
         ) as sock:
-            welcome, _ = self.handshake(sock)
+            welcome, _, wid = self.handshake(wire, sock)
             frame = self.request_frame()
             sock.sendall(frame[:-3])  # header complete, payload short
-        self.assert_cleaned_up(wire, server, welcome["client_id"])
+        self.assert_parked_then_rescued(
+            wire, server, welcome["client_id"], wid
+        )
 
     def test_half_close_during_reply(self, server, wire):
         """The peer shuts its write side while a reply is in flight:
@@ -453,7 +494,7 @@ class TestAbruptDisconnect:
         with socket.create_connection(
             ("127.0.0.1", wire.port), timeout=5
         ) as sock:
-            welcome, decoder = self.handshake(sock)
+            welcome, decoder, wid = self.handshake(wire, sock)
             sock.sendall(self.request_frame())
             sock.shutdown(socket.SHUT_WR)
             got = []
@@ -467,7 +508,9 @@ class TestAbruptDisconnect:
             except OSError:
                 pass
             assert any(f.kind == REPLY for f in got)
-        self.assert_cleaned_up(wire, server, welcome["client_id"])
+        self.assert_parked_then_rescued(
+            wire, server, welcome["client_id"], wid
+        )
 
     def test_windows_are_rescued_on_abrupt_close(self, server, wire):
         transport = TcpTransport(port=wire.port)
@@ -477,9 +520,7 @@ class TestAbruptDisconnect:
         cid = conn.client_id
         # Yank the socket out from under the transport: no goodbye.
         transport._sock.close()
-        self.assert_cleaned_up(wire, server, cid)
-        assert wire.call(lambda: wid not in server.windows)
-
+        self.assert_parked_then_rescued(wire, server, cid, wid)
 
 @pytest.fixture
 def rserver():
@@ -497,14 +538,7 @@ class TestTcpResilience:
             sock = socket.create_connection(
                 ("127.0.0.1", ws.port), timeout=5
             )
-            sock.sendall(encode_frame(HELLO, 0, encode_value(
-                {"name": "silent", "coalesce": True}
-            )))
-            decoder = FrameDecoder()
-            frames = []
-            while not frames:
-                frames.extend(decoder.feed(sock.recv(4096)))
-            cid = decode_value(frames[0].payload)["client_id"]
+            cid = raw_hello(sock, "silent")[0]["client_id"]
             # Go silent: never answer the server's PING probes.  The
             # server burns the miss budget, reaps us into a parked
             # session, then expires the park and rescues the estate.
@@ -565,14 +599,7 @@ class TestSlowDrip:
             header_only.sendall(encode_frame(HELLO, 0, b"")[:4])
 
             drip = socket.create_connection(("127.0.0.1", ws.port), timeout=5)
-            drip.sendall(encode_frame(HELLO, 0, encode_value(
-                {"name": "drip", "coalesce": True}
-            )))
-            decoder = FrameDecoder()
-            frames = []
-            while not frames:
-                frames.extend(decoder.feed(drip.recv(4096)))
-            cid = decode_value(frames[0].payload)["client_id"]
+            cid = raw_hello(drip, "drip")[0]["client_id"]
             dripping = time.monotonic()
             frame = encode_frame(
                 REQUEST, *encode_request("intern_atom", ("D" * 200,), {})

@@ -332,7 +332,7 @@ class TestServerStats:
             },
             "wire": {
                 "framed": {
-                    "bytes_in": 54, "bytes_out": 49,
+                    "bytes_in": 54, "bytes_out": 138,
                     "frames_in": 2, "frames_out": 2,
                 },
             },
