@@ -80,7 +80,10 @@ class AtomTable:
             raise BadAtom(atom) from None
 
     def exists(self, atom: int) -> bool:
-        return atom in self._by_id
+        try:
+            return atom in self._by_id
+        except TypeError:  # unhashable, as a peer may send: no atom
+            return False
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name

@@ -9,9 +9,9 @@
   recorded by the loopback drain and the server's own flusher only.
 - ``count_discards`` from a peer accepts only event class names, so a
   hostile peer cannot grow the stats counters without bound.
-- ``change_property`` refuses a type atom that does not exist with
-  BadAtom, as X11's ChangeProperty does, so the peer's stored property
-  can always be encoded back to it.
+- ``change_property`` refuses a property or type atom that does not
+  exist (an unknown id, or a value that cannot be one) with BadAtom, as
+  X11's ChangeProperty does, and the peer keeps its connection.
 """
 
 import random
@@ -263,14 +263,20 @@ class TestCountDiscardsFromAPeer:
         assert stats.get("dropped", type="MotionNotify") == 1
 
 
-class TestChangePropertyTypeAtom:
-    def test_unknown_type_atom_is_bad_atom_and_the_peer_lives_on(self):
+class TestChangePropertyAtoms:
+    @pytest.mark.parametrize("atom, type_atom", [
+        (39, -1), (39, [1, 2]), ([1, 2], 31),
+    ])
+    def test_unknown_atom_is_bad_atom_and_the_peer_lives_on(
+        self, atom, type_atom
+    ):
         server = XServer()
-        conn = ClientConnection(name="app",
-                                transport=FramedTransport(FramedHost(server)))
+        host = FramedHost(server)
+        conn = ClientConnection(name="app", transport=FramedTransport(host))
         wid = conn.create_window(conn.root_window(), 0, 0, 20, 20)
         with pytest.raises(BadAtom):
-            conn.change_property(wid, 39, -1, 8, "x")
+            conn.change_property(wid, atom, type_atom, 8, "x")
         assert conn.get_property(wid, 39) is None
         assert conn.map_window(wid) is True
         assert conn.is_alive()
+        assert host.errors == []
