@@ -119,6 +119,15 @@ def raw_hello(sock, name):
                 return decode_value(frame.payload), decoder
 
 
+def tcp_counters(wire, *keys):
+    """Some of the server's tcp wire counters, read on the loop thread."""
+    def read():
+        stats = wire.server.stats()
+        return {key: stats.get("wire", transport="tcp", key=key)
+                for key in keys}
+    return wire.call(read)
+
+
 def tcp_pauses(wire):
     return wire.call(
         lambda: wire.server.stats().get("wire", transport="tcp", key="pauses")
@@ -454,14 +463,9 @@ class TestAbruptDisconnect:
         )
 
     def assert_parked_then_rescued(self, wire, server, cid, wid):
-        def lifecycle():
-            stats = server.stats()
-            return {key: stats.get("wire", transport="tcp", key=key)
-                    for key in ("parked", "park_expired")}
-
-        assert wait_until(lambda: wire.call(lifecycle) == {
-            "parked": 1, "park_expired": 1,
-        })
+        assert wait_until(lambda: tcp_counters(
+            wire, "parked", "park_expired"
+        ) == {"parked": 1, "park_expired": 1})
         assert wire.call(lambda: cid not in server.clients)
         assert wire.call(lambda: wid not in server.windows)
         assert wire.call(lambda: wire.sessions.parked_count()) == 0
@@ -623,18 +627,13 @@ class TestSlowDrip:
             assert drops["header"] <= bound, drops
             assert drops["drip"] <= bound, drops
 
-            def lifecycle():
-                stats = rserver.stats()
-                return {key: stats.get("wire", transport="tcp", key=key)
-                        for key in ("peers_reaped", "parked", "park_expired")}
-
             # The post-HELLO peer parked with its record intact...
             assert ws.call(lambda: cid in rserver.clients)
             assert ws.call(lambda: ws.sessions.parked_count()) == 1
             # ...and is rescued once park_grace has passed.
-            assert wait_until(lambda: ws.call(lifecycle) == {
-                "peers_reaped": 2, "parked": 1, "park_expired": 1,
-            })
+            assert wait_until(lambda: tcp_counters(
+                ws, "peers_reaped", "parked", "park_expired"
+            ) == {"peers_reaped": 2, "parked": 1, "park_expired": 1})
             assert time.monotonic() - dripping >= self.GRACE
             assert ws.call(lambda: cid not in rserver.clients)
             assert ws.call(lambda: ws.sessions.parked_count()) == 0
