@@ -16,7 +16,9 @@ Replay a failure with the seed from the terminal summary::
         tests/chaos/test_chaos_link.py -q
 """
 
+import contextlib
 import random
+from collections import Counter
 
 from repro.core.templates import load_template
 from repro.core.wm import Swm
@@ -30,7 +32,12 @@ from repro.xserver.faults import (
     REORDER,
     FaultPlan,
 )
-from repro.xserver.wire import FramedHost, FramedTransport, ResilienceConfig
+from repro.xserver.wire import (
+    FramedHost,
+    FramedTransport,
+    ResilienceConfig,
+    resilience,
+)
 
 #: The acceptance bar: a run must land at least this many link faults.
 MIN_FAULTS = 40
@@ -52,9 +59,38 @@ def build_plan(seed):
     return plan
 
 
+@contextlib.contextmanager
+def counting_executions():
+    """Count the requests the wire server executes, per client id, by
+    wrapping its dispatch entry point while the block runs."""
+    counts = Counter()
+    dispatch = resilience.dispatch_request
+
+    def counting(server, record, name, args, kwargs):
+        counts[record.client_id] += 1
+        return dispatch(server, record, name, args, kwargs)
+
+    resilience.dispatch_request = counting
+    try:
+        yield counts
+    finally:
+        resilience.dispatch_request = dispatch
+
+
 def run_scenario(seed, places):
     """One full managed-client-under-link-chaos run.  Returns a
-    deterministic signature of everything observable."""
+    deterministic signature of everything observable, with the
+    requests the app sent (its final ``close`` included: the wire
+    sends it outside the request ledger) and the executions the server
+    ran for it."""
+    with counting_executions() as executed:
+        result, transport = tour(seed, places)
+    result["requests"] = transport._cs.requests_sent + 1
+    result["executed"] = executed[transport.client_id]
+    return result
+
+
+def tour(seed, places):
     server = XServer()
     wm = Swm(server, load_template("OpenLook+"), places_path=places)
     host = FramedHost(server, ResilienceConfig(seed=seed, park_grace=60.0))
@@ -130,7 +166,7 @@ def run_scenario(seed, places):
         "geometry": geometry,
         "parked": stats.get("wire", transport="framed", key="parked"),
         "resumed": stats.get("wire", transport="framed", key="resumed"),
-    }
+    }, transport
 
 
 class TestLinkChaos:
@@ -150,6 +186,8 @@ class TestLinkChaos:
         assert result["problems"] == []
         assert result["errors"] == []
         assert len(result["observed"]) > 0
+        # Every request ran exactly once, whatever the link did to it.
+        assert result["executed"] == result["requests"]
 
     def test_same_seed_replays_bit_identically(self, chaos_seed, tmp_path):
         first = run_scenario(chaos_seed, str(tmp_path / "b.places"))
