@@ -8,25 +8,24 @@ client under quota, the quota accounting and the extra pipeline stage
 must not change what gets delivered, and must not add measurable cost
 to the T7 motion-sweep hot path.
 
-Two layers of guard:
+Containment has no off switch, so there is no off side to compare
+against:
 
 - **counter-level** (runs under ``--benchmark-disable``, so CI always
-  checks it): the same warmed sweep with the backpressure stage in
-  place and with it removed produces identical delivered/coalesced
-  counters and zero shed/throttle/denial activity;
-- **timing-level** (pytest-benchmark, group ``t8``): the sweep is
-  benchmarked with quotas enabled and disabled; the enabled run must
-  stay within noise (< 5% per the issue; the assert allows 1.5x
-  because single-run CI timing is far noisier than the medians a human
-  compares — the printed report is the number to eyeball).
+  checks it): a warmed sweep by clients under quota sheds, throttles,
+  denies, warns and drops nothing;
+- **timing-level** (pytest-benchmark, group ``t8``): the sweep with
+  containment in place, for the printed report.  Its cost on the
+  request and event paths is also measured end to end by the
+  ``wm_session`` and ``stack_churn`` rows of ``BENCH_perfbench.json``.
 """
 
 import pytest
 
-from repro.xserver import ClientConnection, XServer
+from repro.xserver import ClientConnection
 
 from .conftest import fresh_server, report
-from .test_t7_server_hotpaths import SWEEP, populate, sweep
+from .test_t7_server_hotpaths import populate, sweep
 
 
 def sweep_and_drain(server, conn):
@@ -39,11 +38,10 @@ def sweep_and_drain(server, conn):
     conn.events()
 
 
-def contained_sweep_counters(enabled):
-    """One warmed motion sweep; returns the delivery counters with the
-    containment layer *enabled* or fully disabled."""
+def contained_sweep_counters():
+    """One warmed motion sweep; returns its delivery and containment
+    counters."""
     server = fresh_server()
-    server.quotas.enabled = enabled
     conn = populate(server, 16, select=True)
     sweep_and_drain(server, conn)  # warm caches
     server.stats().reset()
@@ -56,23 +54,22 @@ def contained_sweep_counters(enabled):
         "throttles": stats.get("throttles"),
         "denials": stats.get("quota_denials"),
         "warnings": stats.get("quota_warnings"),
+        "dropped": stats.get("dropped"),
     }
 
 
 def test_t8_no_behaviour_change_under_quota():
-    """With every client under quota, containment must be a no-op:
-    identical delivery counters, zero containment activity."""
-    on = contained_sweep_counters(enabled=True)
-    off = contained_sweep_counters(enabled=False)
-    report(
-        "T8: containment is inert for well-behaved clients",
-        [f"enabled:  {on}", f"disabled: {off}"],
-    )
-    assert on == off
-    assert on["shed"] == 0
-    assert on["throttles"] == 0
-    assert on["denials"] == 0
-    assert on["warnings"] == 0
+    """With every client under quota, containment must be a no-op: the
+    sweep is delivered and no containment path fires."""
+    counters = contained_sweep_counters()
+    report("T8: containment is inert for well-behaved clients",
+           [f"counters: {counters}"])
+    assert counters["delivered"] > 0
+    assert counters["shed"] == 0
+    assert counters["throttles"] == 0
+    assert counters["denials"] == 0
+    assert counters["warnings"] == 0
+    assert counters["dropped"] == 0
 
 
 def test_t8_request_accounting_is_exact():
@@ -97,47 +94,9 @@ def test_t8_request_accounting_is_exact():
 
 
 @pytest.mark.benchmark(group="t8")
-@pytest.mark.parametrize("contained", [True, False],
-                         ids=["quotas-on", "quotas-off"])
-def test_t8_motion_sweep_overhead(benchmark, contained):
-    """The T7 motion sweep with the containment layer on vs. off —
-    compare the two medians; they should be within noise (< 5%)."""
+def test_t8_motion_sweep_overhead(benchmark):
+    """The T7 motion sweep with the containment layer in place."""
     server = fresh_server()
-    server.quotas.enabled = contained
     conn = populate(server, 16, select=True)
     sweep_and_drain(server, conn)  # warm
     benchmark(sweep_and_drain, server, conn)
-
-
-def test_t8_overhead_within_noise():
-    """Single-shot wall-clock ratio guard that still runs when CI uses
-    --benchmark-disable.  The bound is deliberately loose (1.5x) — a
-    real regression (e.g. an O(queue) scan per delivery) shows up as
-    integer multiples; honest noise does not reach 50%."""
-    import time
-
-    def timed(enabled):
-        server = fresh_server()
-        server.quotas.enabled = enabled
-        conn = populate(server, 16, select=True)
-        sweep_and_drain(server, conn)  # warm
-        best = float("inf")
-        for _ in range(5):
-            start = time.perf_counter()
-            sweep_and_drain(server, conn)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    off = timed(False)
-    on = timed(True)
-    ratio = on / off
-    report(
-        "T8: motion-sweep containment overhead",
-        [
-            f"sweep of {SWEEP} events, population 16 (best of 5)",
-            f"quotas off: {off * 1e3:.2f} ms",
-            f"quotas on:  {on * 1e3:.2f} ms",
-            f"ratio: {ratio:.3f} (target: within noise, guard < 1.5)",
-        ],
-    )
-    assert ratio < 1.5

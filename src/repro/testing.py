@@ -350,9 +350,6 @@ def quota_problems(server: "XServer") -> List[str]:
     limits = quotas.limits
     problems: List[str] = []
 
-    def enforced(limit) -> bool:
-        return quotas.enabled and limit is not None
-
     # Window counts: ledger == recount, and within quota for live clients.
     actual: Counter = Counter()
     for win in server.windows.values():
@@ -368,7 +365,7 @@ def quota_problems(server: "XServer") -> List[str]:
                 f"client {cid} window ledger {recorded} != live {counted}"
             )
         if (
-            enforced(limits.max_windows)
+            limits.max_windows is not None
             and cid in server.clients
             and counted > limits.max_windows
         ):
@@ -406,14 +403,15 @@ def quota_problems(server: "XServer") -> List[str]:
                 f"client {cid} property-byte ledger {ledger}"
                 f" != charge sum {summed}"
             )
-        if enforced(limits.max_property_bytes) and ledger > limits.max_property_bytes:
+        if (limits.max_property_bytes is not None
+                and ledger > limits.max_property_bytes):
             problems.append(
                 f"client {cid} holds {ledger} property bytes"
                 f" > quota {limits.max_property_bytes}"
             )
 
     # Grabs: recount from the live table.
-    if enforced(limits.max_pending_grabs):
+    if limits.max_pending_grabs is not None:
         for cid in server.clients:
             count = server.grabs.count_for_client(cid)
             if count > limits.max_pending_grabs:
@@ -423,14 +421,13 @@ def quota_problems(server: "XServer") -> List[str]:
                 )
 
     # Queues bounded by the backpressure hard cap.
-    if quotas.enabled:
-        for cid, sink in server.clients.items():
-            queue = getattr(sink, "_queue", None)
-            if queue is not None and len(queue) > limits.hard_cap:
-                problems.append(
-                    f"client {cid} queue {len(queue)}"
-                    f" > hard cap {limits.hard_cap}"
-                )
+    for cid, sink in server.clients.items():
+        queue = getattr(sink, "_queue", None)
+        if queue is not None and len(queue) > limits.hard_cap:
+            problems.append(
+                f"client {cid} queue {len(queue)}"
+                f" > hard cap {limits.hard_cap}"
+            )
 
     for cid in quotas.throttled_clients():
         if cid not in server.clients:

@@ -108,8 +108,6 @@ class BackpressureStage:
         """The outcome for an event about to be appended, and for
         COALESCE the queue index it replaces."""
         quotas = self.server.quotas
-        if not quotas.enabled:
-            return _ADMIT
         limits = quotas.limits
         if quotas.is_throttled(self.client_id):
             quotas.stats.inc(

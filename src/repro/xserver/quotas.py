@@ -25,8 +25,8 @@ The same object owns the backpressure bookkeeping used by
 the throttled set) and the grab-watchdog clock driven by
 ``XServer.housekeeping_tick()``.  Defaults are deliberately generous:
 a well-behaved WM plus a screenful of applications never comes near
-them, so enabling quotas is free; tests that want pressure construct a
-tight :class:`QuotaLimits` instead.
+them, and they cannot be switched off; tests that want pressure
+construct a tight :class:`QuotaLimits` instead.
 """
 
 from __future__ import annotations
@@ -115,8 +115,6 @@ class QuotaManager:
     def __init__(self, stats, limits: Optional[QuotaLimits] = None) -> None:
         self.limits = limits if limits is not None else QuotaLimits()
         self.stats = stats
-        #: Master switch: disabled means charge nothing, deny nothing.
-        self.enabled = True
         #: client -> live windows it owns.
         self.windows: Counter = Counter()
         #: client -> total property bytes charged to it.
@@ -160,23 +158,34 @@ class QuotaManager:
         if client_id in self._throttled and queue_length <= self.limits.low_water:
             self.unthrottle(client_id)
 
+    # -- the budget check --------------------------------------------------
+
+    def _enforce(self, client_id: int, resource: str, count: int,
+                 limit: int, denial: str, name: str = "") -> None:
+        """Deny *count* over *limit*: count the denial and raise
+        :class:`QuotaExceeded` with *denial*, a template over
+        ``count``, ``limit`` and ``name``.  Past the soft mark, count a
+        warning."""
+        if count > limit:
+            self.stats.inc("quota_denials", client_id, resource)
+            raise QuotaExceeded(
+                client_id, denial.format(count=count, limit=limit, name=name)
+            )
+        if count > self.limits.soft(limit):
+            self.stats.inc("quota_warnings", client_id, resource)
+
     # -- request rate ------------------------------------------------------
 
     def charge_request(self, name: str, client_id: Optional[int]) -> None:
         limit = self.limits.max_requests_per_tick
-        if not self.enabled or limit is None or client_id is None:
+        if limit is None or client_id is None:
             return
         count = self.requests_this_tick[client_id] + 1
         self.requests_this_tick[client_id] = count
-        if count > limit:
-            self.stats.inc("quota_denials", client_id, "requests")
-            raise QuotaExceeded(
-                client_id,
-                f"request rate {count}/tick exceeds quota {limit} ({name})",
-            )
-        soft = self.limits.soft(limit)
-        if soft is not None and count > soft:
-            self.stats.inc("quota_warnings", client_id, "requests")
+        self._enforce(
+            client_id, "requests", count, limit,
+            "request rate {count}/tick exceeds quota {limit} ({name})", name,
+        )
 
     # -- windows -----------------------------------------------------------
 
@@ -186,15 +195,9 @@ class QuotaManager:
             return
         limit = self.limits.max_windows
         count = self.windows[client_id] + 1
-        if self.enabled and limit is not None:
-            if count > limit:
-                self.stats.inc("quota_denials", client_id, "windows")
-                raise QuotaExceeded(
-                    client_id, f"live windows {count} exceed quota {limit}"
-                )
-            soft = self.limits.soft(limit)
-            if soft is not None and count > soft:
-                self.stats.inc("quota_warnings", client_id, "windows")
+        if limit is not None:
+            self._enforce(client_id, "windows", count, limit,
+                          "live windows {count} exceed quota {limit}")
         self.windows[client_id] = count
 
     def note_window_destroyed(self, owner: Optional[int], wid: int) -> None:
@@ -225,19 +228,12 @@ class QuotaManager:
         new_bytes = property_bytes(fmt, data)
         result = new_bytes if mode == PROP_MODE_REPLACE else old_bytes + new_bytes
         limit = self.limits.max_property_bytes
-        if self.enabled and limit is not None and client_id is not None:
+        if limit is not None and client_id is not None:
             total = self.prop_bytes[client_id] + result
             if old_client == client_id:
                 total -= old_bytes
-            if total > limit:
-                self.stats.inc("quota_denials", client_id, "property_bytes")
-                raise QuotaExceeded(
-                    client_id,
-                    f"property bytes {total} exceed quota {limit}",
-                )
-            soft = self.limits.soft(limit)
-            if soft is not None and total > soft:
-                self.stats.inc("quota_warnings", client_id, "property_bytes")
+            self._enforce(client_id, "property_bytes", total, limit,
+                          "property bytes {count} exceed quota {limit}")
         return (old_client, old_bytes, result)
 
     def commit_property(
@@ -284,17 +280,11 @@ class QuotaManager:
         from the live :class:`~repro.xserver.input.GrabTable`, so there
         is no refund bookkeeping to drift."""
         limit = self.limits.max_pending_grabs
-        if not self.enabled or limit is None or client_id is None:
+        if limit is None or client_id is None:
             return
         count = grabs.count_for_client(client_id) + 1
-        if count > limit:
-            self.stats.inc("quota_denials", client_id, "grabs")
-            raise QuotaExceeded(
-                client_id, f"pending grabs {count} exceed quota {limit}"
-            )
-        soft = self.limits.soft(limit)
-        if soft is not None and count > soft:
-            self.stats.inc("quota_warnings", client_id, "grabs")
+        self._enforce(client_id, "grabs", count, limit,
+                      "pending grabs {count} exceed quota {limit}")
 
     # -- lifecycle ---------------------------------------------------------
 

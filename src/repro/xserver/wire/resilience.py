@@ -12,21 +12,22 @@ server learns to distinguish **link death** from **client death**:
   consecutive intervals (parking its session, see below); a client that
   hears nothing for the same budget treats the server as hung and
   reconnects instead of blocking forever.
-- **Parking** — when a link drops (or a peer is reaped), the
-  :class:`~repro.xserver.wire.transport.ServerConnection` is *parked*
-  in a :class:`SessionTable` for :attr:`ResilienceConfig.park_grace`
-  seconds instead of closed: windows, quotas and queued events stay
-  intact.  Only when the grace expires does the ordinary close path run
-  (save-set rescue and all).
+- **Parking** — when a link drops (or a peer is reaped), its
+  :class:`ParkedSession` (record, token, ring, ledger) moves into a
+  :class:`SessionTable` for :attr:`ResilienceConfig.park_grace` seconds
+  instead of closing: windows, quotas and queued events stay intact,
+  and a resume moves the same object to the new link.  Only when the
+  grace expires does the ordinary close path run (save-set rescue).
 - **Resume** — every EVENT frame carries a monotonically increasing
   8-byte sequence number and is retained in a bounded
   :class:`ReplayRing` until the client ACKs it.  A reconnecting client
   presents its resume token plus its (requests_sent, replies_seen,
   events_seen) ledger; the server replays unacked events and — when the
-  link died between execute and reply — resends the cached reply, so
-  every request executes exactly once.  Requests are sequenced
-  *implicitly* by these counters: the REQUEST payload format is
-  unchanged and raw-socket peers keep working.
+  link died after (or while) the request ran — resends the cached
+  reply, so every request executes exactly once (a server bug is
+  answered ``BadImplementation``, never retransmitted).  Requests are
+  sequenced *implicitly* by these counters: the REQUEST payload format
+  is unchanged and raw-socket peers keep working.
 - **Degradation ladder** — resume > replay > session-lost > close.
   Ring overflow, a diverged ledger or an expired grace window never
   hang: the server answers RESUMED ``{ok: False}``, runs the full close
@@ -72,7 +73,7 @@ from typing import (
 )
 
 from .. import events as ev
-from ..errors import XError
+from ..errors import BadImplementation, XError
 from ..faults import (
     CORRUPT,
     DUPLICATE,
@@ -118,7 +119,8 @@ from .frames import (
 from .transport import ServerConnection, Transport, dispatch_request
 
 #: Errors a request may legitimately raise; anything else is a server
-#: bug and lands in the host's ``errors`` list.
+#: bug: it lands in the host's ``errors`` list and the peer gets
+#: ``BadImplementation``.
 _REQUEST_ERRORS = (XError, ConnectionClosed, WMCrash, QuotaExceeded)
 
 #: Fixed-width big-endian sequence number: prefixes every EVENT payload
@@ -277,17 +279,32 @@ class ManualClock:
 
 @dataclass
 class ParkedSession:
-    """A disconnected session held in the grace window: the live
-    :class:`ServerConnection` (windows, quotas, queue), its replay ring
-    and the request ledger a resume must reconcile against."""
+    """A session's resumable state, whether a link carries it or it is
+    parked: the live :class:`ServerConnection` (windows, quotas, queue),
+    resume token, replay ring and request ledger.  Minted at HELLO, it
+    moves between links and the :class:`SessionTable` without copying,
+    so a request that finishes after its link died still records its
+    reply where the resume reads it."""
 
     token: str
     record: ServerConnection
     ring: ReplayRing
-    last_seq: int
-    executed: int
-    last_reply: Optional[Tuple[int, int, bytes]]
-    deadline: float
+    #: Last event sequence number assigned (0 = none yet).
+    last_seq: int = 0
+    #: Requests executed on this session (the server's ledger half).
+    executed: int = 0
+    #: The last reply frame, cached for resend across a resume.
+    last_reply: Optional[Tuple[int, int, bytes]] = None
+    #: When the grace window of a parked session ends.
+    deadline: float = 0.0
+
+    def stamp(self, event: ev.Event) -> Tuple[int, int, bytes]:
+        """Encode *event* under the next sequence number and retain it
+        in the ring until acked; returns ``(seq, opcode, payload)``."""
+        opcode, payload = encode_event(event)
+        self.last_seq += 1
+        self.ring.append(self.last_seq, opcode, payload)
+        return self.last_seq, opcode, payload
 
     def attach(self, table: "SessionTable") -> None:
         """Start absorbing: events delivered while parked flow straight
@@ -299,25 +316,22 @@ class ParkedSession:
         record.on_closed = lambda: table.discard(self.token)
         self._absorb_queue()
 
-    def release(self) -> None:
-        self.record.parked = False
-
     def _on_event(self, event: ev.Event) -> None:
         self._absorb_queue()
 
     def _absorb_queue(self) -> None:
         queue = self.record._queue
         while queue:
-            opcode, payload = encode_event(queue.popleft())
-            self.last_seq += 1
-            self.ring.append(self.last_seq, opcode, payload)
+            self.stamp(queue.popleft())
 
 
 class SessionTable:
     """Mints resume tokens and holds parked sessions until they are
-    claimed or expire.  Tokens are deterministic counters — peers on
-    this wire are trusted-but-buggy (the threat model is flaky links
-    and hostile *frames*, not session hijacking)."""
+    claimed or expire.  Parking stores the session object its link
+    carried; claiming hands that object to the resuming link.  Tokens
+    are deterministic counters — peers on this wire are
+    trusted-but-buggy (the threat model is flaky links and hostile
+    *frames*, not session hijacking)."""
 
     def __init__(self, clock: Callable[[], float] = time.monotonic):
         self.clock = clock
@@ -350,13 +364,22 @@ class SessionTable:
             self._parked.pop(parked.token, None)
         return expired
 
+    def sweep(self, server: XServer, transport: str, on_error) -> None:
+        """Run the close path on every session whose grace window has
+        ended, counting each as ``park_expired`` on *transport*."""
+        for parked in self.expire():
+            server.stats().inc("wire", transport, "park_expired")
+            rescue_expired(server, parked, on_error, transport)
+
 
 class WireSession:
     """The server side of one link, transport-agnostic.
 
     Owns the frame decoder, the HELLO/RESUME handshake, request
-    execution (via :func:`dispatch_request`), event sequencing, the
-    replay ring and heartbeat accounting.  Adapters —
+    execution (via :func:`dispatch_request`), event sequencing and
+    heartbeat accounting.  Its ``state`` is the session's one
+    :class:`ParkedSession`: minted at HELLO or adopted at RESUME, and
+    parked as is when the link dies.  Adapters —
     ``_WireProtocol`` for asyncio sockets, :class:`_FramedLink` for the
     deterministic harness — only move bytes and report link loss, so
     the resilience semantics cannot drift between real and simulated
@@ -391,16 +414,9 @@ class WireSession:
         self._on_error = on_error or (lambda err: None)
         self._stats = server.stats()
         self._decoder = FrameDecoder()
-        self.record: Optional[ServerConnection] = None
-        #: Minted at HELLO, or taken over by a resume.
-        self.token: Optional[str] = None
-        self.ring = ReplayRing(resilience.ring_capacity)
-        #: Last event sequence number assigned (0 = none yet).
-        self.last_seq = 0
-        #: Requests executed on this session (the server's ledger half).
-        self.executed = 0
-        #: The last reply frame, cached for resend across a resume.
-        self.last_reply: Optional[Tuple[int, int, bytes]] = None
+        #: The session this link carries: minted at HELLO, or claimed by
+        #: a resume; None before the handshake and after the link died.
+        self.state: Optional[ParkedSession] = None
         #: True once the link is gone (parked, closed or errored):
         #: every later feed/send is a no-op.
         self.finished = False
@@ -410,7 +426,8 @@ class WireSession:
 
     @property
     def client_id(self) -> Optional[int]:
-        return self.record.client_id if self.record is not None else None
+        state = self.state
+        return state.record.client_id if state is not None else None
 
     # -- inbound ----------------------------------------------------------
 
@@ -449,7 +466,7 @@ class WireSession:
         if frame.kind == PONG:
             self._stats.inc("wire", self.transport_name, "pongs_in")
             return
-        if self.record is None:
+        if self.state is None:
             if frame.kind == HELLO:
                 self._handle_hello(frame)
                 return
@@ -463,7 +480,7 @@ class WireSession:
             if len(frame.payload) != SEQ_SIZE:
                 raise WireProtocolError("malformed ACK payload")
             (seq,) = SEQ.unpack(frame.payload)
-            self.ring.ack(seq)
+            self.state.ring.ack(seq)
             return
         if frame.kind != REQUEST:
             raise WireProtocolError(
@@ -480,33 +497,49 @@ class WireSession:
             name=str(hello.get("name", "wire-client")),
             coalesce=bool(hello.get("coalesce", True)),
         )
-        record.on_event = self._on_event
-        record.on_closed = self._on_server_closed
-        self.record = record
-        self.token = self.sessions.mint()
         cfg = self.resilience
+        self.state = ParkedSession(
+            self.sessions.mint(), record, ReplayRing(cfg.ring_capacity)
+        )
+        self._route(record)
         self._send(WELCOME, 0, encode_value({
             "client_id": record.client_id,
             "xid_base": record.xids.base,
-            "resume_token": self.token,
+            "resume_token": self.state.token,
             "heartbeat_interval": cfg.heartbeat_interval,
             "miss_budget": cfg.miss_budget,
             "ack_every": cfg.ack_every,
         }))
 
+    def _route(self, record: ServerConnection) -> None:
+        """Send *record*'s events and its server-side teardown to this
+        link."""
+        record.parked = False
+        record.on_event = self._on_event
+        record.on_closed = self._on_server_closed
+
     def _handle_request(self, frame: Frame) -> None:
-        assert self.record is not None
+        # Held locally: the link may die (and park it) mid-request.
+        state = self.state
+        assert state is not None
         name, args, kwargs = decode_request(frame.opcode, frame.payload)
         try:
-            result = dispatch_request(
-                self.server, self.record, name, args, kwargs
-            )
+            reply = (REPLY, frame.opcode, encode_value(dispatch_request(
+                self.server, state.record, name, args, kwargs
+            )))
         except _REQUEST_ERRORS as err:
             reply = (ERROR, frame.opcode, encode_error(err))
-        else:
-            reply = (REPLY, frame.opcode, encode_value(result))
-        self.executed += 1
-        self.last_reply = reply
+        except WireProtocolError:
+            raise
+        except Exception as err:
+            # A server bug (an unencodable result too): answer it like
+            # any failed request, so the peer never retransmits it.
+            self._on_error(err)
+            reply = (ERROR, frame.opcode, encode_error(BadImplementation(
+                message=f"internal error: {type(err).__name__}"
+            )))
+        state.executed += 1
+        state.last_reply = reply
         self._send(*reply)
         self.flush_events()
 
@@ -534,15 +567,8 @@ class WireSession:
             self._reject_resume("request-ledger-diverged", parked)
             return
         record = parked.record
-        parked.release()
-        record.on_event = self._on_event
-        record.on_closed = self._on_server_closed
-        self.record = record
-        self.token = parked.token
-        self.ring = parked.ring
-        self.last_seq = parked.last_seq
-        self.executed = parked.executed
-        self.last_reply = parked.last_reply
+        self.state = parked
+        self._route(record)
         self._misses = 0
         self._send(RESUMED, 0, encode_value({
             "ok": True,
@@ -593,16 +619,15 @@ class WireSession:
         it in the replay ring until acked.  While unwritable (TCP write
         buffer over its high-water mark) events stay queued server-side
         where BackpressureStage bounds them."""
-        record = self.record
-        if record is None or self.finished:
+        state = self.state
+        if state is None or self.finished:
             return
+        record = state.record
         queue = record._queue
         wrote = False
         while queue and self._writable():
-            opcode, payload = encode_event(queue.popleft())
-            self.last_seq += 1
-            self.ring.append(self.last_seq, opcode, payload)
-            self._send(EVENT, opcode, SEQ.pack(self.last_seq) + payload)
+            seq, opcode, payload = state.stamp(queue.popleft())
+            self._send(EVENT, opcode, SEQ.pack(seq) + payload)
             wrote = True
         if wrote and record.registered():
             self.server.quotas.note_drained(record.client_id, len(queue))
@@ -641,29 +666,21 @@ class WireSession:
 
     def on_link_lost(self) -> None:
         """The adapter's link died (peer disconnect, reap, protocol
-        error).  Park the session for the grace window; before the
-        handshake there is nothing to park."""
+        error).  Park the session object for the grace window; before
+        the handshake there is nothing to park."""
         if self.finished:
             return
         self.finished = True
-        record, self.record = self.record, None
-        if record is None:
+        state, self.state = self.state, None
+        if state is None:
             return
-        record.on_event = None
-        record.on_closed = None
+        record = state.record
         if not record.registered():
+            record.on_event = record.on_closed = None
             return
-        parked = ParkedSession(
-            token=self.token,
-            record=record,
-            ring=self.ring,
-            last_seq=self.last_seq,
-            executed=self.executed,
-            last_reply=self.last_reply,
-            deadline=self.sessions.clock() + self.resilience.park_grace,
-        )
-        parked.attach(self.sessions)
-        self.sessions.park(parked)
+        state.deadline = self.sessions.clock() + self.resilience.park_grace
+        state.attach(self.sessions)
+        self.sessions.park(state)
         self._stats.inc("wire", self.transport_name, "parked")
 
     def _on_server_closed(self) -> None:
@@ -672,7 +689,7 @@ class WireSession:
         nothing left to park."""
         self.flush_events()
         self.finished = True
-        self.record = None
+        self.state = None
         self._close_link()
 
     def _protocol_error(self, err: WireProtocolError) -> None:
@@ -996,20 +1013,10 @@ class ClientWire(Transport):
         return err
 
     def _finish(self) -> Any:
-        frame = self._await((REPLY, ERROR))
-        cs = self._cs
-        assert cs is not None
-        if frame.kind == ERROR:
-            err = decode_error(frame.payload)
-            if isinstance(err, WireProtocolError):
-                # The server poisoned the link (injected garbage), not
-                # this request: recover and retransmit.
-                raise _LinkDown()
-            cs.note_reply()
-            if isinstance(err, ConnectionClosed):
-                self._dead = True
-            raise err
-        cs.note_reply()
+        """The in-flight request's REPLY value (:meth:`_next_pending`
+        raises its ERROR)."""
+        frame = self._await((REPLY,))
+        self._cs.note_reply()
         return decode_value(frame.payload)
 
     def _await(self, kinds: Tuple[int, ...]) -> Frame:
@@ -1032,20 +1039,25 @@ class ClientWire(Transport):
             self._send_link(encode_frame(PING, 0, SEQ.pack(self._ping_serial)))
 
     def _next_pending(self, kinds: Tuple[int, ...]) -> Optional[Frame]:
+        """The next buffered frame of *kinds*, or None.  An ERROR is
+        raised, answering the request when awaiting a REPLY; a protocol
+        error means the link was poisoned, not the request: recover."""
         while self._pending:
             frame = self._pending.popleft()
             if frame.kind in kinds:
                 return frame
-            if frame.kind == ERROR:
-                err = decode_error(frame.payload)
-                if isinstance(err, WireProtocolError):
-                    raise _LinkDown()
-                if isinstance(err, ConnectionClosed):
-                    self._dead = True
-                raise err
-            raise WireProtocolError(
-                f"unexpected frame kind {frame.kind} from server"
-            )
+            if frame.kind != ERROR:
+                raise WireProtocolError(
+                    f"unexpected frame kind {frame.kind} from server"
+                )
+            err = decode_error(frame.payload)
+            if isinstance(err, WireProtocolError):
+                raise _LinkDown()
+            if REPLY in kinds:
+                self._cs.note_reply()
+            if isinstance(err, ConnectionClosed):
+                self._dead = True
+            raise err
         return None
 
     def _absorb(self, data: bytes) -> None:
@@ -1260,9 +1272,7 @@ class FramedHost:
         self.reap_expired()
 
     def reap_expired(self) -> None:
-        for parked in self.sessions.expire():
-            self.server.stats().inc("wire", "framed", "park_expired")
-            rescue_expired(self.server, parked, self.errors.append, "framed")
+        self.sessions.sweep(self.server, "framed", self.errors.append)
 
 
 class _FramedLink:

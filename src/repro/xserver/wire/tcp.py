@@ -68,7 +68,6 @@ from .resilience import (
     WireSession,
     WireTimeouts,
     _LinkDown,
-    rescue_expired,
 )
 
 
@@ -315,9 +314,7 @@ class WireServer:
         self._hb_handle = None
         for proto in list(self._protocols):
             proto.session.heartbeat_tick()
-        for parked in self.sessions.expire():
-            self.server.stats().inc("wire", "tcp", "park_expired")
-            rescue_expired(self.server, parked, self.errors.append, "tcp")
+        self.sessions.sweep(self.server, "tcp", self.errors.append)
         loop = self._loop
         if loop is not None and loop.is_running():
             self._hb_handle = loop.call_later(

@@ -270,14 +270,6 @@ class TestBackpressure:
         assert snap["quotas"]["unthrottles"] == {conn.client_id: 1}
         assert_quotas_enforced(server)
 
-    def test_disabled_quotas_disable_backpressure(self):
-        server = make_server(**self.limits())
-        server.quotas.enabled = False
-        conn, wid = self.victim(server)
-        fill_queue(conn, wid, 20)
-        assert conn.pending() == 20
-        assert server.stats().get("shed") == 0
-
 
 class TestGrabWatchdog:
     def test_non_draining_holder_loses_grab(self):
