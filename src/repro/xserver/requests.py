@@ -9,17 +9,45 @@ can import it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from inspect import Parameter
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from . import events as ev
 from .errors import BadRequest, BadValue, BadWindow
+from .event_mask import EventMask
+
+# -- parameter kinds -----------------------------------------------------
+#
+# The codec packs the fixed-width kinds of a row into one struct and
+# sends VALUE parameters (strings, property data, Optional values,
+# lists, bitmaps, events) as tagged values after it.
+
+INT = "int"      #: an integer: ids, coordinates, sizes, modes
+ATOM = "atom"    #: an atom id (a value that is none answers BadAtom)
+BOOL = "bool"    #: exactly True or False
+MASK = "mask"    #: an EventMask (a plain int is accepted)
+VALUE = "value"  #: anything else the tagged value codec carries
+
+#: The default of a parameter the caller must pass; the same marker
+#: ``inspect.signature`` uses, so a row compares with its method.
+REQUIRED = Parameter.empty
+
+
+@dataclass(frozen=True)
+class Param:
+    """One request parameter: its name, kind and default."""
+
+    name: str
+    kind: str
+    default: Any = REQUIRED
 
 
 @dataclass(frozen=True)
 class RequestSpec:
     """One request: its wire opcode (table index + 1), whether the
     server entry point takes the acting client's id first, whether
-    ``batch()`` may buffer it, and how the server runs it."""
+    ``batch()`` may buffer it, how the server runs it, and its
+    parameters."""
 
     name: str
     opcode: int
@@ -28,6 +56,7 @@ class RequestSpec:
     #: ``handler(server, record, args, kwargs)``, *record* being the
     #: client's ``ServerConnection``; None: the ``XServer`` method.
     handler: Optional[Callable[..., Any]]
+    params: Tuple[Param, ...]
 
     def run(self, server, record, args: tuple, kwargs: dict) -> Any:
         """Execute this request on behalf of *record*'s client."""
@@ -112,62 +141,111 @@ def _retired(server, record, args, kwargs):
     raise BadRequest(None, "retired request")
 
 
+#: Parameters shared by many rows.
+_WID = (("wid", INT),)
+_GRAB = (("owner_events", BOOL, False), ("cursor", VALUE, None))
+
 #: The request surface in opcode order.  Append only: never reorder or
 #: delete a row.  A request that must no longer run keeps its row with
 #: the ``_retired`` handler, so later opcodes keep their numbers.
 #: ``note_drained`` is retired: drains are recorded by the loopback
 #: drain and the server's own flusher, never on a peer's word.
-_TABLE = (
+#:
+#: Each row ends with its parameters, ``(name, kind)`` or ``(name,
+#: kind, default)``, in the order of the ``XServer`` method it runs
+#: (without the client id) or the call its handler serves.
+_TABLE: Tuple[Tuple[Any, ...], ...] = (
     # name                       client id  batchable  handler
-    ("create_window",            True,      False,     _create_window),
-    ("destroy_window",           True,      False,     None),
-    ("destroy_subwindows",       True,      False,     None),
-    ("map_window",               True,      False,     None),
-    ("map_subwindows",           True,      False,     None),
-    ("unmap_window",             True,      False,     None),
-    ("reparent_window",          True,      False,     None),
-    ("configure_window",         True,      True,      None),
-    ("circulate_window",         True,      False,     None),
-    ("change_window_attributes", True,      False,     None),
-    ("change_property",          True,      True,      None),
-    ("get_property",             True,      False,     None),
-    ("delete_property",          True,      True,      None),
-    ("list_properties",          True,      False,     None),
-    ("send_event",               True,      False,     None),
-    ("query_tree",               False,     False,     None),
-    ("get_geometry",             False,     False,     None),
-    ("get_window_attributes",    False,     False,     None),
-    ("translate_coordinates",    False,     False,     None),
-    ("query_pointer",            False,     False,     None),
-    ("window_exists",            False,     False,     _window_exists),
-    ("set_input_focus",          True,      False,     None),
-    ("get_input_focus",          False,     False,     None),
-    ("change_save_set",          True,      False,     None),
-    ("grab_pointer",             True,      False,     None),
-    ("ungrab_pointer",           True,      False,     None),
-    ("grab_button",              True,      False,     None),
-    ("ungrab_button",            True,      False,     None),
-    ("grab_key",                 True,      False,     None),
-    ("warp_pointer",             True,      False,     None),
-    ("shape_set_mask",           True,      False,     None),
-    ("window_is_shaped",         False,     False,     None),
-    ("intern_atom",              False,     False,     _intern_atom),
-    ("get_atom_name",            False,     False,     _get_atom_name),
-    ("root_window",              False,     False,     _root_window),
-    ("screen_count",             False,     False,     _screen_count),
-    ("screen_info",              False,     False,     _screen_info),
-    ("set_coalescing",           False,     False,     _set_coalescing),
-    ("note_drained",             False,     False,     _retired),
-    ("count_discards",           False,     False,     _count_discards),
-    ("close",                    False,     False,     _close),
-    ("execute_batch",            True,      False,     None),
+    ("create_window",            True,      False,     _create_window, (
+        ("wid", INT), ("parent_id", INT), ("x", INT), ("y", INT),
+        ("width", INT), ("height", INT), ("border_width", INT, 0),
+        ("win_class", INT, 1), ("override_redirect", BOOL, False),
+        ("event_mask", MASK, EventMask.NoEvent),
+        ("background", VALUE, None), ("cursor", VALUE, None))),
+    ("destroy_window",           True,      False,     None, _WID),
+    ("destroy_subwindows",       True,      False,     None, _WID),
+    ("map_window",               True,      False,     None, _WID),
+    ("map_subwindows",           True,      False,     None, _WID),
+    ("unmap_window",             True,      False,     None, _WID),
+    ("reparent_window",          True,      False,     None, (
+        ("wid", INT), ("new_parent_id", INT), ("x", INT), ("y", INT))),
+    ("configure_window",         True,      True,      None, (
+        ("wid", INT), ("value_mask", INT), ("x", INT, 0), ("y", INT, 0),
+        ("width", INT, 0), ("height", INT, 0), ("border_width", INT, 0),
+        ("sibling", INT, 0), ("stack_mode", INT, 0))),
+    ("circulate_window",         True,      False,     None, (
+        ("wid", INT), ("direction", INT))),
+    ("change_window_attributes", True,      False,     None, (
+        ("wid", INT), ("event_mask", VALUE, None),
+        ("override_redirect", VALUE, None), ("background", VALUE, None),
+        ("cursor", VALUE, None), ("do_not_propagate_mask", VALUE, None),
+        ("win_gravity", VALUE, None))),
+    # The type stays tagged: the server answers a type that is no atom,
+    # of any kind, with BadAtom.
+    ("change_property",          True,      True,      None, (
+        ("wid", INT), ("atom", ATOM), ("type_atom", VALUE), ("fmt", INT),
+        ("data", VALUE), ("mode", INT, 0))),
+    ("get_property",             True,      False,     None, (
+        ("wid", INT), ("atom", ATOM))),
+    ("delete_property",          True,      True,      None, (
+        ("wid", INT), ("atom", ATOM))),
+    ("list_properties",          True,      False,     None, _WID),
+    ("send_event",               True,      False,     None, (
+        ("destination", INT), ("event", VALUE),
+        ("event_mask", MASK, EventMask.NoEvent),
+        ("propagate", BOOL, False))),
+    ("query_tree",               False,     False,     None, _WID),
+    ("get_geometry",             False,     False,     None, _WID),
+    ("get_window_attributes",    False,     False,     None, _WID),
+    ("translate_coordinates",    False,     False,     None, (
+        ("src_wid", INT), ("dst_wid", INT), ("x", INT), ("y", INT))),
+    ("query_pointer",            False,     False,     None, _WID),
+    ("window_exists",            False,     False,     _window_exists, _WID),
+    ("set_input_focus",          True,      False,     None, (
+        ("focus", INT), ("revert_to", INT, 1))),
+    ("get_input_focus",          False,     False,     None, ()),
+    ("change_save_set",          True,      False,     None, (
+        ("wid", INT), ("mode", INT))),
+    ("grab_pointer",             True,      False,     None, (
+        ("wid", INT), ("event_mask", MASK), *_GRAB)),
+    ("ungrab_pointer",           True,      False,     None, ()),
+    ("grab_button",              True,      False,     None, (
+        ("wid", INT), ("button", INT), ("modifiers", INT),
+        ("event_mask", MASK), *_GRAB)),
+    ("ungrab_button",            True,      False,     None, (
+        ("wid", INT), ("button", INT), ("modifiers", INT))),
+    ("grab_key",                 True,      False,     None, (
+        ("wid", INT), ("keysym", VALUE), ("modifiers", INT),
+        ("owner_events", BOOL, False))),
+    ("warp_pointer",             True,      False,     None, (
+        ("dst_wid", INT), ("x", INT), ("y", INT))),
+    ("shape_set_mask",           True,      False,     None, (
+        ("wid", INT), ("mask", VALUE), ("op", INT, 0),
+        ("x_offset", INT, 0), ("y_offset", INT, 0))),
+    ("window_is_shaped",         False,     False,     None, _WID),
+    ("intern_atom",              False,     False,     _intern_atom, (
+        ("name", VALUE), ("only_if_exists", BOOL, False))),
+    ("get_atom_name",            False,     False,     _get_atom_name, (
+        ("atom", ATOM),)),
+    ("root_window",              False,     False,     _root_window, (
+        ("screen", INT, 0),)),
+    ("screen_count",             False,     False,     _screen_count, ()),
+    ("screen_info",              False,     False,     _screen_info, (
+        ("number", INT, 0),)),
+    ("set_coalescing",           False,     False,     _set_coalescing, (
+        ("enabled", BOOL),)),
+    ("note_drained",             False,     False,     _retired, (
+        ("remaining", INT),)),
+    ("count_discards",           False,     False,     _count_discards, (
+        ("names", VALUE),)),
+    ("close",                    False,     False,     _close, ()),
+    ("execute_batch",            True,      False,     None, (
+        ("ops", VALUE),)),
 )
 
 REQUESTS: Dict[str, RequestSpec] = {
-    name: RequestSpec(name, index + 1, needs_cid, batchable, handler)
-    for index, (name, needs_cid, batchable, handler) in enumerate(_TABLE)
-}
-
-REQUESTS_BY_OPCODE: Dict[int, RequestSpec] = {
-    spec.opcode: spec for spec in REQUESTS.values()
+    name: RequestSpec(name, index + 1, needs_cid, batchable, handler,
+                      tuple(Param(*param) for param in params))
+    for index, (name, needs_cid, batchable, handler, params)
+    in enumerate(_TABLE)
 }

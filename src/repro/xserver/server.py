@@ -86,6 +86,18 @@ SAVE_SET_DELETE = 1
 MAX_WINDOW_SIZE = 32767
 MIN_COORD = -32768
 MAX_COORD = 32767
+#: X11 border widths are CARD16.  With coordinates, these bounds keep
+#: every position the server derives within the wire's 64-bit ints.
+MAX_BORDER_WIDTH = 65535
+
+
+def _check_position(x: int, y: int, border_width: int = 0) -> None:
+    """BadValue for a window position or border width past X11's
+    16-bit fields."""
+    if not (MIN_COORD <= x <= MAX_COORD and MIN_COORD <= y <= MAX_COORD):
+        raise BadValue((x, y), "coordinate out of 16-bit range")
+    if not 0 <= border_width <= MAX_BORDER_WIDTH:
+        raise BadValue(border_width, "border width out of 16-bit range")
 
 #: Request faults that take a process down before the request runs:
 #: the exception raised out of the request and the fault log's detail.
@@ -603,6 +615,7 @@ class XServer:
             raise BadValue((width, height), "zero-size window")
         if width > MAX_WINDOW_SIZE or height > MAX_WINDOW_SIZE:
             raise BadValue((width, height), "window larger than 32767")
+        _check_position(x, y, border_width)
         parent = self.window(parent_id)
         if parent.win_class == INPUT_ONLY and win_class == INPUT_OUTPUT:
             raise BadMatch(parent_id, "InputOutput child of InputOnly window")
@@ -828,6 +841,7 @@ class XServer:
             raise BadMatch(wid, "window is an ancestor of the new parent")
         if window.root() is not new_parent.root():
             raise BadMatch(wid, "new parent on a different screen")
+        _check_position(x, y)
         was_mapped = window.mapped
         was_viewable = window.viewable
         if was_mapped:
@@ -932,8 +946,8 @@ class XServer:
             raise BadValue((new_w, new_h), "zero-size configure")
         if new_w > MAX_WINDOW_SIZE or new_h > MAX_WINDOW_SIZE:
             raise BadValue((new_w, new_h), "size larger than 32767")
-        if not (MIN_COORD <= new_x <= MAX_COORD and MIN_COORD <= new_y <= MAX_COORD):
-            raise BadValue((new_x, new_y), "coordinate out of 16-bit range")
+        _check_position(new_x, new_y, border_width
+                        if value_mask & ev.CWBorderWidth else 0)
         restack = value_mask & ev.CWStackMode
         if restack:
             sibling_window = self.window(sibling) if sibling != NONE else None

@@ -10,9 +10,11 @@ layer splits that into three sub-layers, mirroring how swm itself is
   an incremental :class:`FrameDecoder`;
 - :mod:`repro.xserver.wire.codec` — serializes every request in the
   :class:`~repro.xserver.client.ClientConnection` surface and every
-  :class:`~repro.xserver.events.Event` subclass to/from frames.
-  Round-trips are exact (tuple/list, EventMask, Bitmap and Property
-  types all survive); unknown opcodes raise
+  :class:`~repro.xserver.events.Event` subclass to/from frames, each
+  packed by one layout per request row or event class, with tagged
+  values for the rest.  Round-trips are exact (tuple/list, EventMask,
+  Bitmap and Property types all survive); an argument of the wrong
+  kind fails on the sending side, and unknown opcodes raise
   :class:`WireProtocolError`, never crash;
 - :mod:`repro.xserver.wire.transport` /
   :mod:`repro.xserver.wire.tcp` — the :class:`Transport` interface

@@ -1,44 +1,62 @@
 """Binary codec for requests, events, replies and errors.
 
-Payloads are built from a small tagged value encoding that covers every
-shape the :class:`~repro.xserver.client.ClientConnection` surface
-passes or returns: ``None``, bools, ints (zigzag varints), floats,
-strings, bytes, lists, tuples, dicts, :class:`EventMask` flags,
-:class:`Property` values, :class:`Bitmap` masks and whole
-:class:`~repro.xserver.events.Event` instances (SendEvent carries
-events *inside* a request).  The encoding is self-describing and
-round-trips exactly — a decoded value compares equal to the original,
-including tuple-vs-list identity and enum types, which is what the
-seeded round-trip suite in ``tests/wire`` asserts.
+Requests and events are packed: each request row of
+:mod:`repro.xserver.requests` and each event class has one fixed
+binary layout, and one :class:`struct.Struct` packs its int, atom,
+bool and :class:`EventMask` fields.  Ints are signed 64-bit, so every
+id, serial, timestamp and coordinate the server mints fits.  A request
+payload starts with a presence record (how many arguments were
+positional, and a bit per parameter passed by keyword), so decoding
+returns exactly the ``(name, args, kwargs)`` that was sent.  An event
+payload starts with its opcode byte, and keeps the serial it was sent
+with.
 
-Requests and events are identified by stable numeric opcodes (the
-request table in :mod:`repro.xserver.requests`, :data:`EVENT_OPCODES`).
-Decoding an unknown opcode or a malformed payload raises
-:class:`~repro.xserver.wire.frames.WireProtocolError` — a hostile peer
+Everything else (strings, property data, ``Optional`` parameters,
+lists, bitmaps, nested events, and every reply and error) is a tagged
+value: ``None``, bools, ints (zigzag varints), floats, strings, bytes,
+lists, tuples, dicts, :class:`EventMask` flags, :class:`Property`
+values, :class:`Bitmap` masks and whole
+:class:`~repro.xserver.events.Event` instances (SendEvent carries an
+event *inside* a request, in the same layout as an EVENT frame).
+Tagged values round-trip exactly, including tuple-vs-list identity and
+enum types.  A packed request or event is followed by its tagged tail.
+
+Wrong kinds fail on the side that made them.  A fixed field of a
+request that will not pack (a string or list for an int, a non-bool
+for a bool, a value out of range) raises its X error in
+:func:`encode_request`, before anything is sent.  On the receiving
+side, an unknown opcode or a payload whose length, presence record or
+tail does not fit its row raises
+:class:`~repro.xserver.wire.frames.WireProtocolError`: a hostile peer
 gets an error reply or a dropped connection, never a server crash.
-
-Dispatch is table-driven in both directions: the encoder is looked up
-by the value's exact type (a subclass takes its nearest registered
-base's encoder) and the decoder by the tag byte, with one-byte varints
-read and written inline.  The bytes are the format's, unchanged:
-``test_codec.py`` pins them.
+``test_codec.py`` pins the bytes.
 """
 
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from dataclasses import fields as dataclass_fields
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from .. import events as ev
 from ..bitmap import Bitmap
-from ..errors import XError
+from ..errors import BadAtom, BadValue, XError
 from ..event_mask import EventMask
 from ..faults import ConnectionClosed, WMCrash
 from ..properties import Property
 from ..quotas import QuotaExceeded
-from ..requests import REQUESTS, REQUESTS_BY_OPCODE
+from ..requests import (
+    ATOM,
+    BOOL,
+    INT,
+    MASK,
+    REQUESTS,
+    REQUIRED,
+    VALUE,
+    RequestSpec,
+)
 from .frames import WireError, WireProtocolError
 
 # -- value tags ----------------------------------------------------------
@@ -184,11 +202,6 @@ def _encode_dict(out: bytearray, value: dict) -> None:
 def _encode_mask(out: bytearray, value: EventMask) -> None:
     out.append(_T_MASK)
     _write_varint(out, int(value))
-
-
-def _encode_event(out: bytearray, value: ev.Event) -> None:
-    out.append(_T_EVENT)
-    _encode_event_into(out, value)
 
 
 def _encode_property(out: bytearray, value: Property) -> None:
@@ -375,6 +388,37 @@ def _decode_bitmap(buf: bytes, pos: int) -> Tuple[Bitmap, int]:
 MAX_BITMAP_BITS = 4096 * 4096
 
 
+# -- packed fields -------------------------------------------------------
+#
+# A request row or an event class packs its fixed-width fields with one
+# struct: ints (ids, atoms, coordinates, serials, timestamps) as signed
+# 64 bits, so every value the server mints fits; bools as one byte;
+# event masks as 32 unsigned bits.  Every other field follows as a
+# tagged value.
+
+_FIXED_CODES = {INT: "q", ATOM: "q", BOOL: "?", MASK: "I"}
+
+#: The X error a value of the wrong kind raises on the sending side.
+_MISFIT_ERRORS = {INT: BadValue, ATOM: BadAtom, BOOL: BadValue,
+                  MASK: BadValue}
+
+
+def _misfit(owner: str, name: str, kind: str, value: Any) -> XError:
+    return _MISFIT_ERRORS[kind](value, f"{owner}: {name} is no {kind}")
+
+
+def _first_misfit(owner: str, names: Sequence[str], kinds: Sequence[str],
+                  values: Sequence[Any]) -> XError:
+    """The X error for the first of *values* its kind's struct code
+    will not pack (called once packing them all has failed)."""
+    for name, kind, value in zip(names, kinds, values):
+        try:
+            struct.pack(">" + _FIXED_CODES[kind], value)
+        except struct.error:
+            return _misfit(owner, name, kind, value)
+    raise AssertionError(f"{owner}: every field packs")
+
+
 # -- events --------------------------------------------------------------
 
 #: Every Event subclass, in stable opcode order.  Opcodes are the index
@@ -414,73 +458,102 @@ EVENT_OPCODES: Dict[Type[ev.Event], int] = {
     cls: index + 1 for index, cls in enumerate(EVENT_CLASSES)
 }
 
-_EVENT_FIELDS: Dict[Type[ev.Event], Tuple[str, ...]] = {
-    cls: tuple(f.name for f in dataclass_fields(cls)) for cls in EVENT_CLASSES
+
+class _EventLayout:
+    """One event class's wire layout: its opcode byte, then every int
+    and bool field packed by one struct, in field order; the fields of
+    other types (``KeyPress.keysym``, ``ClientMessage.data``) follow as
+    tagged values.  An EVENT frame and an event nested in a value
+    (SendEvent) use the same layout."""
+
+    __slots__ = ("cls", "opcode", "fixed", "kinds", "tail", "pack",
+                 "unpack_from", "size", "values")
+
+    def __init__(self, cls: Type[ev.Event], opcode: int) -> None:
+        # Under ``from __future__ import annotations`` a field's type
+        # is its annotation string.
+        fields = dataclass_fields(cls)
+        kinds = [_EVENT_FIELD_KINDS.get(str(f.type)) for f in fields]
+        self.cls = cls
+        self.opcode = opcode
+        self.fixed = tuple(f.name for f, kind in zip(fields, kinds) if kind)
+        self.kinds = tuple(kind for kind in kinds if kind)
+        self.tail = tuple(f.name for f, kind in zip(fields, kinds) if not kind)
+        codes = "".join(_FIXED_CODES[kind] for kind in self.kinds)
+        # The opcode byte is written by pack and skipped by unpack_from.
+        self.pack = struct.Struct(">B" + codes).pack
+        body = struct.Struct(">x" + codes)
+        self.unpack_from = body.unpack_from
+        self.size = body.size
+        self.values = attrgetter(*self.fixed)
+
+
+#: Event field annotation -> packed kind; any other field is tagged.
+#: Bools pack by truth: a server-made event never fails to encode over
+#: a bool a peer stored (``change_window_attributes`` keeps an
+#: ``override_redirect`` as given).
+_EVENT_FIELD_KINDS = {"int": INT, "bool": BOOL}
+
+_EVENT_LAYOUTS: Dict[Type[ev.Event], _EventLayout] = {
+    cls: _EventLayout(cls, opcode) for cls, opcode in EVENT_OPCODES.items()
 }
 
-
-def _event_head(cls: Type[ev.Event]) -> bytes:
-    """The opcode and field count that start every *cls* payload."""
-    out = bytearray()
-    _write_varint(out, EVENT_OPCODES[cls])
-    _write_varint(out, len(_EVENT_FIELDS[cls]))
-    return bytes(out)
+#: Indexed by the opcode byte; None where no class has that opcode.
+_EVENT_BY_OPCODE: List[Optional[_EventLayout]] = [None] * 256
+for _layout in _EVENT_LAYOUTS.values():
+    _EVENT_BY_OPCODE[_layout.opcode] = _layout
+del _layout
 
 
-#: Per class: its payload head and a getter of its field values, in
-#: field order (every event class has more than one field, so the
-#: getter returns a tuple).
-_EVENT_LAYOUTS: Dict[Type[ev.Event], Tuple[bytes, Callable[[Any], tuple]]] = {
-    cls: (_event_head(cls), attrgetter(*_EVENT_FIELDS[cls]))
-    for cls in EVENT_CLASSES
-}
-
-
-def _encode_event_into(out: bytearray, event: ev.Event) -> None:
+def _pack_event(event: ev.Event) -> Tuple[_EventLayout, bytes]:
+    """*event*'s layout and its packed opcode and fixed fields."""
     layout = _EVENT_LAYOUTS.get(type(event))
     if layout is None:
         raise WireError(
             f"event class {type(event).__name__!r} has no wire opcode"
         )
-    head, values = layout
-    out += head
-    encoders = _ENCODERS
-    for value in values(event):
-        cls = type(value)
-        (encoders.get(cls) or _inherited_encoder(cls))(out, value)
+    values = layout.values(event)
+    try:
+        return layout, layout.pack(layout.opcode, *values)
+    except struct.error:
+        raise _first_misfit(layout.cls.__name__, layout.fixed,
+                            layout.kinds, values) from None
 
 
 def _encode_event(out: bytearray, event: ev.Event) -> None:
+    layout, packed = _pack_event(event)
     out.append(_T_EVENT)
-    _encode_event_into(out, event)
+    out += packed
+    for name in layout.tail:
+        _encode_into(out, getattr(event, name))
 
 
 def _decode_event(buf: bytes, pos: int) -> Tuple[ev.Event, int]:
-    opcode, pos = _read_varint(buf, pos)
-    if not 1 <= opcode <= len(EVENT_CLASSES):
-        raise WireProtocolError(f"unknown event opcode {opcode}")
-    cls = EVENT_CLASSES[opcode - 1]
-    names = _EVENT_FIELDS[cls]
-    count, pos = _read_varint(buf, pos)
-    if count != len(names):
-        raise WireProtocolError(
-            f"{cls.__name__} payload has {count} fields, expected {len(names)}"
-        )
+    layout = _EVENT_BY_OPCODE[buf[pos]]
+    if layout is None:
+        raise WireProtocolError(f"unknown event opcode {buf[pos]}")
+    end = pos + layout.size
+    if end > len(buf):
+        raise WireProtocolError(f"truncated {layout.cls.__name__}")
     # Bypass dataclass construction: __post_init__ mints fresh serials,
     # and a decoded event must keep the serial it was sent with.
-    event = object.__new__(cls)
+    event = object.__new__(layout.cls)
     fields = event.__dict__
-    decoders = _DECODERS
-    for name in names:
-        fields[name], pos = decoders[buf[pos]](buf, pos + 1)
-    return event, pos
+    fields.update(zip(layout.fixed, layout.unpack_from(buf, pos)))
+    for name in layout.tail:
+        fields[name], end = _DECODERS[buf[end]](buf, end + 1)
+    return event, end
 
 
 def encode_event(event: ev.Event) -> Tuple[int, bytes]:
     """(opcode, payload) for an EVENT frame."""
-    out = bytearray()
-    _encode_event_into(out, event)
-    return EVENT_OPCODES[type(event)], bytes(out)
+    layout, packed = _pack_event(event)
+    if not layout.tail:
+        return layout.opcode, packed
+    out = bytearray(packed)
+    for name in layout.tail:
+        _encode_into(out, getattr(event, name))
+    return layout.opcode, bytes(out)
 
 
 def decode_event(payload: bytes) -> ev.Event:
@@ -532,36 +605,173 @@ _DECODERS: List[Decoder] = [
 
 # -- requests ------------------------------------------------------------
 
+#: The tail slot of a VALUE parameter the call left out.
+_ABSENT = object()
+
+
+class _RequestLayout:
+    """One request row's wire layout.  One struct packs the presence
+    record (how many arguments were positional, then a bit per
+    parameter passed by keyword) and every fixed-width parameter in
+    row order, a parameter the call left out packing as zero.  The
+    VALUE parameters the call passed follow as tagged values, in row
+    order, so decoding returns exactly the ``(args, kwargs)`` sent."""
+
+    __slots__ = ("name", "opcode", "names", "index", "kinds", "arity",
+                 "required", "filler", "fixed", "tagged", "bools",
+                 "masks", "pack", "unpack_from", "size")
+
+    def __init__(self, spec: RequestSpec) -> None:
+        kinds = tuple(param.kind for param in spec.params)
+        required = sum(param.default is REQUIRED for param in spec.params)
+        # A Python signature lists its required parameters first, and
+        # the presence record has 16 keyword bits.
+        assert all(p.default is REQUIRED for p in spec.params[:required])
+        assert len(kinds) <= 16, spec.name
+        self.name = spec.name
+        self.opcode = spec.opcode
+        self.names = tuple(param.name for param in spec.params)
+        self.index = {name: i for i, name in enumerate(self.names)}
+        self.kinds = kinds
+        self.arity = len(kinds)
+        self.required = (1 << required) - 1
+        self.filler = tuple(
+            _ABSENT if kind == VALUE else False if kind == BOOL else 0
+            for kind in kinds
+        )
+        self.fixed = tuple(i for i, kind in enumerate(kinds) if kind != VALUE)
+        self.tagged = tuple(i for i, kind in enumerate(kinds) if kind == VALUE)
+        self.bools = tuple(i for i, kind in enumerate(kinds) if kind == BOOL)
+        self.masks = tuple(i for i, kind in enumerate(kinds) if kind == MASK)
+        packer = struct.Struct(
+            ">BH" + "".join(_FIXED_CODES[kinds[i]] for i in self.fixed)
+        )
+        self.pack = packer.pack
+        self.unpack_from = packer.unpack_from
+        self.size = packer.size
+
+    def bind(self, args: tuple, kwargs: dict) -> Tuple[List[Any], int]:
+        """The call's value per parameter (the filler where it passed
+        none) and its keyword bits.  A call the row cannot take raises
+        TypeError, as calling the server method would."""
+        count = len(args)
+        if count > self.arity:
+            raise TypeError(
+                f"{self.name}() takes {self.arity} arguments ({count} given)"
+            )
+        values = [*args, *self.filler[count:]]
+        keywords = 0
+        for key, value in kwargs.items():
+            i = self.index.get(key, -1)
+            if i < count:
+                raise TypeError(
+                    f"{self.name}() got multiple values for {key!r}"
+                    if i >= 0 else
+                    f"{self.name}() got an unexpected keyword {key!r}"
+                )
+            values[i] = value
+            keywords |= 1 << i
+        if ((1 << count) - 1 | keywords) & self.required != self.required:
+            raise TypeError(f"{self.name}() missing a required argument")
+        return values, keywords
+
+    def misfit(self, values: Sequence[Any]) -> XError:
+        """The X error for a bool parameter in *values* that is not a
+        bool, else for the first fixed parameter that will not pack."""
+        for i in self.bools:
+            if type(values[i]) is not bool:
+                return _misfit(self.name, self.names[i], BOOL, values[i])
+        fixed = self.fixed
+        return _first_misfit(self.name, [self.names[i] for i in fixed],
+                             [self.kinds[i] for i in fixed],
+                             [values[i] for i in fixed])
+
+
+_REQUEST_LAYOUTS: Dict[str, _RequestLayout] = {
+    name: _RequestLayout(spec) for name, spec in REQUESTS.items()
+}
+
+_REQUEST_BY_OPCODE: Dict[int, _RequestLayout] = {
+    layout.opcode: layout for layout in _REQUEST_LAYOUTS.values()
+}
+
 
 def encode_request(name: str, args: tuple, kwargs: dict) -> Tuple[int, bytes]:
-    """(opcode, payload) for a REQUEST frame."""
-    spec = REQUESTS.get(name)
-    if spec is None:
+    """(opcode, payload) for a REQUEST frame.  A fixed-width argument
+    of the wrong kind raises its X error here, before anything is
+    sent."""
+    layout = _REQUEST_LAYOUTS.get(name)
+    if layout is None:
         raise WireError(f"unknown request {name!r}")
-    out = bytearray()
-    _encode_tuple(out, args)
-    _encode_dict(out, kwargs)
-    return spec.opcode, bytes(out)
+    count = len(args)
+    values: Sequence[Any] = args
+    keywords = 0
+    if kwargs or count != layout.arity:
+        values, keywords = layout.bind(args, kwargs)
+    for i in layout.bools:
+        if type(values[i]) is not bool:
+            raise layout.misfit(values)
+    tagged = layout.tagged
+    fixed = [values[i] for i in layout.fixed] if tagged else values
+    try:
+        packed = layout.pack(count, keywords, *fixed)
+    except struct.error:
+        raise layout.misfit(values) from None
+    if not tagged:
+        return layout.opcode, packed
+    out = bytearray(packed)
+    for i in tagged:
+        value = values[i]
+        if value is not _ABSENT:
+            _encode_into(out, value)
+    return layout.opcode, bytes(out)
 
 
-def _decode_call(buf: bytes, pos: int) -> Tuple[Tuple[Any, Any], int]:
-    args, pos = _decode_from(buf, pos)
-    kwargs, pos = _decode_from(buf, pos)
-    return (args, kwargs), pos
+@lru_cache(maxsize=1024)
+def _bit_indexes(mask: int) -> Tuple[int, ...]:
+    """The indexes of *mask*'s set bits, low first."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def decode_request(opcode: int, payload: bytes) -> Tuple[str, tuple, dict]:
     """Decode a REQUEST frame into (name, args, kwargs)."""
-    spec = REQUESTS_BY_OPCODE.get(opcode)
-    if spec is None:
+    layout = _REQUEST_BY_OPCODE.get(opcode)
+    if layout is None:
         raise WireProtocolError(f"unknown request opcode {opcode}")
-    args, kwargs = _decode_all(_decode_call, payload, "request")
-    if not isinstance(args, tuple) or not isinstance(kwargs, dict):
-        raise WireProtocolError("request payload shape mismatch")
-    for key in kwargs:
-        if not isinstance(key, str):
-            raise WireProtocolError("request keyword names must be strings")
-    return spec.name, args, kwargs
+    name = layout.name
+    size = layout.size
+    if len(payload) < size:
+        raise WireProtocolError(f"truncated {name} request")
+    count, keywords, *values = layout.unpack_from(payload)
+    present = (1 << count) - 1 | keywords
+    if keywords or count != layout.arity:
+        if (count > layout.arity or keywords >> layout.arity
+                or present & layout.required != layout.required
+                or keywords & (1 << count) - 1):
+            raise WireProtocolError(f"{name} request binds no call")
+    if layout.tagged:
+        fixed, values = values, list(layout.filler)
+        for i, value in zip(layout.fixed, fixed):
+            values[i] = value
+        try:
+            for i in layout.tagged:
+                if present >> i & 1:
+                    values[i], size = _decode_from(payload, size)
+        except IndexError:
+            raise WireProtocolError(f"truncated {name} request") from None
+    if size != len(payload):
+        raise WireProtocolError(
+            f"{len(payload) - size} trailing bytes after {name} request"
+        )
+    for i in layout.masks:
+        values[i] = EventMask(values[i])
+    args = tuple(values[:count])
+    if not keywords:
+        return name, args, {}
+    names = layout.names
+    return name, args, {
+        names[i]: values[i] for i in _bit_indexes(keywords)
+    }
 
 
 # -- errors --------------------------------------------------------------

@@ -29,7 +29,9 @@ from typing import List
 #: Wire format version; bumped on any incompatible framing/codec change.
 #: v2: EVENT frames carry a fixed 8-byte sequence prefix and the
 #: resilience frame kinds (PING/PONG/RESUME/RESUMED/ACK) exist.
-WIRE_VERSION = 2
+#: v3: REQUEST and EVENT payloads are packed, one layout per request
+#: row and per event class.
+WIRE_VERSION = 3
 
 #: Frames larger than this are rejected outright — a length prefix is
 #: attacker-controlled, and a 4 GiB "frame" must not allocate 4 GiB.

@@ -24,6 +24,7 @@ from repro.core.templates import load_template
 from repro.core.wm import Swm
 from repro.testing import adoption_problems, wm_consistency_problems
 from repro.xserver import ClientConnection, EventMask, XServer
+from repro.xserver import events as ev
 from repro.xserver.faults import (
     CORRUPT,
     DUPLICATE,
@@ -122,7 +123,7 @@ def tour(seed, places):
             )
         elif action == 2:
             conn.configure_window(
-                wid, stack_mode=rng.choice(("Above", "Below"))
+                wid, stack_mode=rng.choice((ev.ABOVE, ev.BELOW))
             )
         elif action == 3:
             conn.set_string_property(

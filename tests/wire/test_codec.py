@@ -4,7 +4,8 @@ The contract under test is *exactness*: ``decode(encode(x)) == x``
 including types that Python would happily conflate — tuples stay
 tuples, ``EventMask`` stays an ``EventMask``, bools stay bools — plus
 the defensive half: malformed bytes and unknown opcodes always raise
-``WireProtocolError``, never anything else.
+``WireProtocolError``, never anything else, and a request argument of
+the wrong kind raises its X error in the encoder, before it is sent.
 """
 
 import collections
@@ -12,6 +13,7 @@ import dataclasses
 import enum
 import hashlib
 import random
+import struct
 
 import pytest
 
@@ -31,6 +33,7 @@ from repro.xserver.faults import ConnectionClosed, WMCrash
 from repro.xserver.fuzz import FRAME_ATTACKS, malformed_frames
 from repro.xserver.properties import Property
 from repro.xserver.quotas import QuotaExceeded
+from repro.xserver.requests import REQUIRED
 from repro.xserver.wire import (
     EVENT,
     REQUEST,
@@ -288,9 +291,10 @@ class TestEventCodec:
 
     def test_field_count_mismatch_rejected(self):
         opcode, payload = encode_event(ev.Expose(window=1))
-        # Claim the right class but lie about the field count.
-        with pytest.raises(WireProtocolError):
-            decode_event(payload[:1] + b"\x02" + payload[2:])
+        # The right class, one packed field short or one too many.
+        for wrong in (payload[:-8], payload + bytes(8)):
+            with pytest.raises(WireProtocolError):
+                decode_event(wrong)
 
 
 # ----------------------------------------------------------------------
@@ -387,6 +391,76 @@ class TestRequestCodec:
             assert back_name == name
             assert back_args == args
             assert back_kwargs == kwargs
+
+    def test_every_call_shape_round_trips(self, wire_seed):
+        """Each parameter positional, by keyword, or left out for its
+        default: decoding returns exactly the call that was sent."""
+        rng = random.Random(wire_seed)
+        for name, spec in REQUESTS.items():
+            args, kwargs = sample_request(name, rng)
+            sent = {**dict(zip([p.name for p in spec.params], args)),
+                    **kwargs}
+            full = [sent.get(p.name, p.default) for p in spec.params]
+            for _ in range(8):
+                count = rng.randint(0, len(full))
+                call_args = tuple(full[:count])
+                call_kwargs = {
+                    param.name: value
+                    for param, value in zip(spec.params[count:],
+                                            full[count:])
+                    if param.default is REQUIRED or rng.random() < 0.5
+                }
+                back = decode_request(
+                    *encode_request(name, call_args, call_kwargs)
+                )
+                assert back == (name, call_args, call_kwargs)
+                assert [type(v) for v in back[1]] == [
+                    type(v) for v in call_args
+                ]
+                assert {k: type(v) for k, v in back[2].items()} == {
+                    k: type(v) for k, v in call_kwargs.items()
+                }
+
+    @pytest.mark.parametrize("name, args, kwargs, error", [
+        ("map_window", ("zz",), {}, BadValue),
+        ("map_window", ([1, 2],), {}, BadValue),
+        ("configure_window", (1, 3), {"x": "zz"}, BadValue),
+        ("configure_window", (1, 3), {"y": 2**63}, BadValue),
+        ("configure_window", (1, 3.5), {}, BadValue),
+        ("configure_window", (1, None), {}, BadValue),
+        ("get_property", (1, [1, 2]), {}, BadAtom),
+        ("change_property", (1, "WM_NAME", 31, 8, "x", 0), {}, BadAtom),
+        ("grab_pointer", (1, "zz", [1, 2], None), {}, BadValue),
+        ("grab_pointer", (1, EventMask.ButtonPress, 1, None), {}, BadValue),
+        ("grab_pointer", (1, -1, False, None), {}, BadValue),
+        ("set_coalescing", (None,), {}, BadValue),
+        ("send_event", (1, ev.Expose(window="zz")), {}, BadValue),
+    ])
+    def test_wrong_kind_fails_before_sending(self, name, args, kwargs, error):
+        """A fixed field that will not pack raises its X error on the
+        side that made it, from the encoder."""
+        with pytest.raises(error):
+            encode_request(name, args, kwargs)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((1, 2), {}), ((), {}), ((1,), {"wid": 1}), ((), {"window": 1}),
+    ])
+    def test_call_the_row_cannot_take_is_a_type_error(self, args, kwargs):
+        # As calling XServer.map_window with these would be.
+        with pytest.raises(TypeError):
+            encode_request("map_window", args, kwargs)
+
+    def test_presence_record_must_bind_a_call(self):
+        opcode, _ = encode_request("map_window", (1,), {})
+        packed = struct.Struct(">BHq")
+        # Too many positionals, the required wid missing, a keyword
+        # bit on a positional, a keyword bit past the row's end.
+        for count, keywords in [(2, 0), (0, 0), (1, 1), (1, 2), (0, 3)]:
+            with pytest.raises(WireProtocolError):
+                decode_request(opcode, packed.pack(count, keywords, 7))
+        assert decode_request(opcode, packed.pack(0, 1, 7)) == (
+            "map_window", (), {"wid": 7}
+        )
 
     def test_sample_table_covers_every_request(self, wire_seed):
         # The parametrised shapes above must not silently fall behind
@@ -581,6 +655,6 @@ def test_wire_bytes_are_pinned():
         (type(error).__name__, 0, encode_error(error))
         for error in X_ERROR_CASES
     ]
-    assert (len(requests), digest(requests)) == (42, "f5e238bb4b9f7914")
-    assert (len(events), digest(events)) == (27, "c8f856357c60977c")
+    assert (len(requests), digest(requests)) == (42, "2624b71fca538d24")
+    assert (len(events), digest(events)) == (27, "3f5730de553e77f6")
     assert (len(errors), digest(errors)) == (8, "914693dab98a3a70")

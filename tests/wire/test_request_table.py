@@ -5,15 +5,21 @@
   (encode, frame, decode, dispatch).  Both must return equal results or
   raise the same error class, and leave equal window trees behind.
   ``close`` and ``note_drained`` have their own tests.
+- Every row that runs an ``XServer`` method lists that method's
+  parameters: names, order and defaults, as ``inspect.signature``
+  reads them.
 - ``note_drained`` is not a request a peer may execute: drains are
   recorded by the loopback drain and the server's own flusher only.
 - ``count_discards`` from a peer accepts only event class names, so a
   hostile peer cannot grow the stats counters without bound.
 - ``change_property`` refuses a property or type atom that does not
   exist (an unknown id, or a value that cannot be one) with BadAtom, as
-  X11's ChangeProperty does, and the peer keeps its connection.
+  X11's ChangeProperty does, and the peer keeps its connection: the
+  client's encoder refuses a property atom that will not pack, the
+  server a type atom that is no atom.
 """
 
+import inspect
 import random
 
 import pytest
@@ -23,6 +29,7 @@ from repro.xserver import events as ev
 from repro.xserver.bitmap import Bitmap
 from repro.xserver.errors import BadAtom, BadRequest, BadValue, XError
 from repro.xserver.quotas import QuotaLimits
+from repro.xserver.requests import ATOM, BOOL, INT, MASK, VALUE
 from repro.xserver.requests import REQUESTS as TABLE
 from repro.xserver.wire import FramedHost, FramedTransport
 from repro.xserver.wire.codec import REQUESTS
@@ -183,6 +190,28 @@ class TestTable:
         for spec in TABLE.values():
             if spec.handler is None:
                 assert callable(getattr(XServer, spec.name, None)), spec.name
+
+    def test_rows_match_their_server_methods(self):
+        """A row that runs an XServer method (create_window's handler
+        forwards its call to one) lists that method's parameters after
+        the client id: names, order and defaults.  A packed kind fits
+        the annotation; any parameter may be tagged."""
+        kinds = {"int": (INT, ATOM), "bool": (BOOL,), "EventMask": (MASK,)}
+        for spec in TABLE.values():
+            if spec.handler is not None and spec.name != "create_window":
+                continue
+            params = list(inspect.signature(
+                getattr(XServer, spec.name)
+            ).parameters.values())[1:]  # self
+            if spec.needs_client_id:
+                assert params.pop(0).name == "client_id", spec.name
+            assert [(p.name, p.default) for p in spec.params] == [
+                (p.name, p.default) for p in params
+            ], spec.name
+            for row, param in zip(spec.params, params):
+                assert row.kind in (VALUE, *kinds.get(param.annotation, ())), (
+                    spec.name, row.name
+                )
 
     def test_opcodes_follow_table_order(self):
         assert [spec.opcode for spec in TABLE.values()] == list(

@@ -32,7 +32,7 @@ from repro.xserver import (
     XServer,
 )
 from repro.xserver import events as ev
-from repro.xserver.errors import BadImplementation
+from repro.xserver.errors import BadImplementation, BadValue
 from repro.xserver.faults import (
     CORRUPT,
     DUPLICATE,
@@ -422,17 +422,85 @@ class TestExactlyOnce:
         assert host.errors == []
 
     def test_server_bug_answers_bad_implementation_once(
-        self, server, executions
+        self, server, executions, monkeypatch
     ):
         host = make_host(server)
         conn, transport = connect(server, host)
         wid = conn.create_window(conn.root_window(), 0, 0, 60, 40)
-        # A value mask the server cannot use: a TypeError inside it.
+        # A server bug: configure_window raises TypeError, once.
+        configure = server.configure_window
+        bugs = [TypeError("unsupported operand")]
+
+        def buggy_configure(*args, **kwargs):
+            if bugs:
+                raise bugs.pop()
+            return configure(*args, **kwargs)
+
+        monkeypatch.setattr(server, "configure_window", buggy_configure)
         with pytest.raises(BadImplementation):
-            transport.request("configure_window", (wid, "zz"), {})
+            conn.configure_window(wid, x=10)
         assert executions.count("configure_window") == 1
         assert [type(err) for err in host.errors] == [TypeError]
         assert conn.map_window(wid) is True
+        assert transport.reconnects == 0
+
+
+class TestWrongKindArguments:
+    """A fixed-width argument of the wrong kind fails on the client
+    that made it, before anything is sent: the server never runs it,
+    so it cannot poison the server for other clients."""
+
+    def test_wrong_kinds_are_bad_value_and_poison_nothing(
+        self, server, executions
+    ):
+        host = make_host(server)
+        conn, transport = connect(server, host)
+        root = conn.root_window()
+        wid = conn.create_window(root, 0, 0, 60, 40)
+        conn.map_window(wid)
+        ran = list(executions)
+
+        with pytest.raises(BadValue):
+            conn.grab_pointer(wid, "zz", [1, 2], None)
+        with pytest.raises(BadValue):
+            conn.configure_window(wid, x="zz")
+        assert executions == ran  # the server ran neither
+        assert server.active_grab is None
+        assert transport.reconnects == 0
+
+        # An innocent loopback client and the server's own input path.
+        innocent = ClientConnection(server, "innocent")
+        innocent.warp_pointer(root, 30, 20)
+        server.motion(40, 25)
+        assert host.errors == []
+
+        # The peer keeps its session.
+        assert conn.configure_window(wid, x=5) is True
+        assert server.get_geometry(wid)[0] == 5
+        assert conn.is_alive()
+        assert transport.reconnects == 0
+
+    def test_positions_keep_to_sixteen_bits(self, server):
+        """Every coordinate the server derives must fit the wire's
+        64-bit event fields, so window positions and border widths keep
+        to X11's 16 bits.  A window at the 64-bit edge would otherwise
+        make the server's own motion() fail to encode the peer's
+        grabbed MotionNotify."""
+        host = make_host(server)
+        conn, transport = connect(server, host)
+        root = conn.root_window()
+        with pytest.raises(BadValue):
+            conn.create_window(root, -2**63 + 5, 0, 50, 50)
+        wid = conn.create_window(root, 0, 0, 50, 50)
+        with pytest.raises(BadValue):
+            conn.configure_window(wid, border_width=2**62)
+        with pytest.raises(BadValue):
+            conn.reparent_window(wid, root, 0, -2**62)
+        conn.map_window(wid)
+        conn.grab_pointer(wid, EventMask.PointerMotion)
+        server.motion(100, 100)
+        assert [type(e) for e in conn.events()] == [ev.MotionNotify]
+        assert host.errors == []
         assert transport.reconnects == 0
 
 
