@@ -18,14 +18,16 @@ caches buy us:
   ``query_pointer`` calls re-use cached root origins (hit rate >= 90%
   with motion coalescing disabled, so every event is fully delivered).
 
-Three guards count work by wrapping server internals from the test:
+Four guards count work by wrapping server internals from the test:
 SHAPE conversions for one managed oclock (bitmap to bands at most
 twice, never back), the hit tests and exposure passes of one manage,
-which swm does off-screen and shows with a single MapWindow, and the
+which swm does off-screen and shows with a single MapWindow, the
 general region sweeps run while a grown widget's exposures go out
-(none: every clip step has a rectangle operand).  A reintroduced mask
-round trip, a frame mapped before it is built, or a clip built from
-one-rectangle regions fails by count rather than by timing.
+(none: every clip step has a rectangle operand), and the clips those
+exposures recompute (one: the grown widget's own).  A reintroduced mask
+round trip, a frame mapped before it is built, a clip built from
+one-rectangle regions, or a child's configure that invalidates its
+ancestors' clips fails by count rather than by timing.
 
 Timing cases use pytest-benchmark (group ``t7``); the guards are plain
 asserts on ``server.stats()`` cache counters, so they hold under
@@ -37,6 +39,7 @@ import pytest
 from repro import icccm
 from repro.clients import OClock, XTerm
 from repro.xserver import ClientConnection, EventMask, XServer, region, shape
+from repro.xserver.window import Window
 
 from .conftest import fresh_server, fresh_wm, report
 
@@ -258,6 +261,55 @@ def test_t7_clip_sweep_guard(monkeypatch, batched):
     assert counts["exposures"] >= 1
     assert server.window(grown).clip_region().area() < 60 * 48
     assert counts["sweeps"] == 0
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_t7_clip_recompute_guard(monkeypatch, batched):
+    """Growing one widget of a 128-widget grid, with every clip already
+    cached, recomputes exactly one clip inside `_send_exposures`, the
+    grown widget's own, unbatched and batched: a child's configure
+    leaves its parent's and the root's clips valid.  Counted by
+    wrapping `Window._compute_clip` and `_send_exposures` from
+    outside."""
+    server = fresh_server()
+    conn = ClientConnection(server, "apps", coalesce=False)
+    widgets = toolkit(conn, 24, 40, 128)
+    for wid in widgets:
+        conn.select_input(wid, EventMask.Exposure)
+        server.window(wid).clip_region()  # warm every clip
+    counts = {"exposures": 0, "recomputes": 0}
+    inside = []
+    compute_inner = Window._compute_clip
+    expose_inner = XServer._send_exposures
+
+    def counted_compute(self, parent_clip):
+        if inside:
+            counts["recomputes"] += 1
+        return compute_inner(self, parent_clip)
+
+    def counted_exposures(self, window):
+        counts["exposures"] += 1
+        inside.append(window)
+        try:
+            return expose_inner(self, window)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Window, "_compute_clip", counted_compute)
+    monkeypatch.setattr(XServer, "_send_exposures", counted_exposures)
+    grown = widgets[17]
+    if batched:
+        with conn.batch():
+            conn.configure_window(grown, width=60, height=48)
+    else:
+        conn.configure_window(grown, width=60, height=48)
+    report(f"T7: clip recomputes while exposing a grown widget"
+           f" ({'batched' if batched else 'unbatched'})", [
+        f"exposure passes: {counts['exposures']}",
+        f"_compute_clip calls inside them: {counts['recomputes']}",
+    ])
+    assert counts["exposures"] == 1
+    assert counts["recomputes"] == 1
 
 
 def test_t7_shaped_launch_conversion_guard(monkeypatch):
