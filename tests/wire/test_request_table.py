@@ -17,6 +17,9 @@
   X11's ChangeProperty does, and the peer keeps its connection: the
   client's encoder refuses a property atom that will not pack, the
   server a type atom that is no atom.
+- ``change_window_attributes`` refuses an ``override_redirect`` that is
+  not None or a bool with BadValue on both transports, so a loopback
+  watcher and a wire peer read the same MapNotify.
 """
 
 import inspect
@@ -309,3 +312,46 @@ class TestChangePropertyAtoms:
         assert conn.map_window(wid) is True
         assert conn.is_alive()
         assert host.errors == []
+
+
+class TestOverrideRedirectIsABool:
+    """``change_window_attributes`` answers an ``override_redirect``
+    that is neither None nor a bool with BadValue, as X11 answers a bad
+    BOOL, on both transports and before any attribute changes.  Stored
+    as given, a 5 reached a loopback watcher's MapNotify as 5 and the
+    wire peer's as True."""
+
+    def test_framed_and_loopback_watchers_see_one_map_notify(self):
+        server = XServer()
+        host = FramedHost(server)
+        remote = ClientConnection(name="app",
+                                  transport=FramedTransport(host))
+        watcher = ClientConnection(server, "watcher")
+        watcher.select_input(watcher.root_window(),
+                             EventMask.SubstructureNotify)
+        wid = remote.create_window(remote.root_window(), 0, 0, 20, 20)
+        remote.select_input(wid, EventMask.StructureNotify)
+        with pytest.raises(BadValue):
+            remote.change_window_attributes(
+                wid, override_redirect=5, background="red"
+            )
+        assert server.window(wid).background is None
+        remote.change_window_attributes(wid, override_redirect=True)
+        remote.map_window(wid)
+        seen = [
+            [e.override_redirect for e in conn.events()
+             if isinstance(e, ev.MapNotify) and e.mapped_window == wid]
+            for conn in (watcher, remote)
+        ]
+        assert seen == [[True], [True]]
+        assert remote.is_alive()
+        assert host.errors == []
+
+    @pytest.mark.parametrize("value", [5, 0, "yes", 1.0])
+    def test_loopback_peer_gets_bad_value(self, value):
+        conn = ClientConnection(XServer(), "app")
+        wid = conn.create_window(conn.root_window(), 0, 0, 20, 20)
+        with pytest.raises(BadValue):
+            conn.change_window_attributes(wid, override_redirect=value)
+        conn.change_window_attributes(wid, override_redirect=False)
+        conn.change_window_attributes(wid, override_redirect=None)
