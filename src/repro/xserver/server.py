@@ -1050,6 +1050,12 @@ class XServer:
     ) -> None:
         self._tick()
         window = self.window(wid)
+        if override_redirect is not None and not isinstance(
+            override_redirect, bool
+        ):
+            # X11 answers a bad BOOL with BadValue; stored as given, a
+            # 5 would reach loopback watchers as 5 and wire peers as True.
+            raise BadValue(override_redirect, "override_redirect is a BOOL")
         if event_mask is not None:
             self._select_input(client_id, window, event_mask)
         if override_redirect is not None:
