@@ -241,9 +241,11 @@ def test_chaos_run(chaos_seed, tmp_path):
     )
 
 
-def replay_workload(seed, places):
+def replay_workload(seed, places, after_step=None):
     """A 150-step launch-and-move workload under the standard plan;
-    returns its fault log as (serial, kind, target, detail) tuples."""
+    returns its fault log as (serial, kind, target, detail) tuples.
+    *after_step*, if given, is called with the server after each step;
+    it must not issue requests, or the fault log moves."""
     rng = random.Random(seed)
     server = XServer(screens=[(1152, 900, 8)])
     wm = full_wm(server, places)
@@ -271,6 +273,8 @@ def replay_workload(seed, places):
                            rng.randint(0, 2000), rng.randint(0, 1500),
                            what="chaos")
         wm.process_pending()
+        if after_step is not None:
+            after_step(server)
     return [(f.serial, f.kind, f.target, f.detail) for f in plan.log]
 
 
