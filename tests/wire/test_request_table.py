@@ -19,7 +19,13 @@
   server a type atom that is no atom.
 - ``change_window_attributes`` refuses an ``override_redirect`` that is
   not None or a bool with BadValue on both transports, so a loopback
-  watcher and a wire peer read the same MapNotify.
+  watcher and a wire peer read the same MapNotify; ``create_window``
+  refuses one that is not a bool, before it charges the quota.
+- ``shape_set_mask`` refuses a mask that is neither a Bitmap nor None,
+  and an op outside Set..Invert, with BadValue on both transports.
+- ``intern_atom`` refuses a name that is not a str with BadValue on
+  both transports (an empty name is BadAtom), and the connection's
+  atom cache keeps only str names.
 """
 
 import inspect
@@ -355,3 +361,98 @@ class TestOverrideRedirectIsABool:
             conn.change_window_attributes(wid, override_redirect=value)
         conn.change_window_attributes(wid, override_redirect=False)
         conn.change_window_attributes(wid, override_redirect=None)
+
+
+class TestCreateWindowOverrideRedirect:
+    """``create_window`` answers an ``override_redirect`` that is not a
+    bool with BadValue before the quota charge or any other change.
+    Stored as given, a loopback creator's 5 stayed 5 on the window while
+    a framed watcher's MapNotify read True."""
+
+    def test_loopback_creator_and_framed_watcher_agree(self):
+        server = XServer()
+        host = FramedHost(server)
+        watcher = ClientConnection(name="watcher",
+                                   transport=FramedTransport(host))
+        watcher.select_input(watcher.root_window(),
+                             EventMask.SubstructureNotify)
+        creator = ClientConnection(server, "creator")
+        root = creator.root_window()
+        windows = set(server.windows)
+        with pytest.raises(BadValue):
+            creator.create_window(root, 0, 0, 20, 20, override_redirect=5)
+        assert set(server.windows) == windows
+        assert server.quotas.windows.get(creator.client_id, 0) == 0
+        assert watcher.events() == []
+        wid = creator.create_window(root, 0, 0, 20, 20,
+                                    override_redirect=True)
+        creator.map_window(wid)
+        assert server.window(wid).override_redirect is True
+        seen = [e.override_redirect for e in watcher.events()
+                if isinstance(e, (ev.CreateNotify, ev.MapNotify))]
+        assert seen == [True, True]
+        assert watcher.is_alive()
+        assert host.errors == []
+
+    @pytest.mark.parametrize("value", [5, 0, "yes", 1.0, None])
+    def test_loopback_creator_gets_bad_value(self, value):
+        conn = ClientConnection(XServer(), "app")
+        with pytest.raises(BadValue):
+            conn.create_window(conn.root_window(), 0, 0, 20, 20,
+                               override_redirect=value)
+        assert conn.server.quotas.windows.get(conn.client_id, 0) == 0
+        wid = conn.create_window(conn.root_window(), 0, 0, 20, 20,
+                                 override_redirect=False)
+        assert conn.server.window(wid).override_redirect is False
+
+
+class TestShapeSetMaskArguments:
+    """A mask that is neither a Bitmap nor None, or an op outside
+    Set..Invert, is BadValue on both transports; a peer's bad mask was a
+    server bug answered BadImplementation, and any op shaped an
+    unshaped window."""
+
+    @pytest.mark.parametrize("args, kwargs", [
+        (("zz",), {}), (([1, 2],), {}), (({"k": 1},), {}), ((1.5,), {}),
+        ((Bitmap.solid(2, 2),), {"op": 7}),
+        ((Bitmap.solid(2, 2),), {"op": -1}),
+    ])
+    def test_bad_value_over_both_transports(self, args, kwargs):
+        local, remote, host = twin_clients()
+        for conn in (local, remote):
+            wid = conn.create_window(conn.root_window(), 0, 0, 20, 20)
+        assert outcome(remote, "shape_set_mask", (wid, *args), kwargs) == (
+            "error", BadValue)
+        assert_twins_agree(local, remote, host, "shape_set_mask",
+                           (wid, *args), kwargs)
+        assert not remote.window_is_shaped(wid)
+        assert remote.is_alive()
+
+
+class TestInternAtomName:
+    """``intern_atom`` answers a name that is not a str with BadValue
+    on both transports, and an empty name with BadAtom.  A list or dict
+    name was a server bug answered BadImplementation, and 1.5 was
+    interned."""
+
+    @pytest.mark.parametrize("name", [[1, 2], {"k": 1}, 1.5, 7, None,
+                                      b"WM_NAME"])
+    def test_a_name_that_is_no_string_is_bad_value(self, name):
+        local, remote, host = twin_clients()
+        for conn in (local, remote):
+            for _ in range(2):  # the second ask is not answered locally
+                with pytest.raises(BadValue):
+                    conn.intern_atom(name)
+            assert all(type(key) is str for key in conn._atoms)
+            assert conn.intern_atom("SWM_AFTER") > 0
+        assert remote.is_alive()
+        assert host.errors == []
+
+    def test_an_empty_name_stays_bad_atom(self):
+        local, remote, host = twin_clients()
+        for conn in (local, remote):
+            with pytest.raises(BadAtom):
+                conn.intern_atom("")
+            with pytest.raises(BadAtom):
+                conn.intern_atom("", only_if_exists=True)
+        assert host.errors == []
