@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from .errors import BadAtom
+from .errors import BadAtom, BadValue
 
 #: Core-protocol predefined atoms (subset relevant to window management).
 PREDEFINED = {
@@ -58,7 +58,10 @@ class AtomTable:
         self._next = LAST_PREDEFINED + 1
 
     def intern(self, name: str, only_if_exists: bool = False) -> Optional[int]:
-        """InternAtom: return the atom for *name*, creating it if allowed."""
+        """InternAtom: return the atom for *name*, creating it if allowed.
+        A name that is no string is BadValue; an empty one, BadAtom."""
+        if not isinstance(name, str):
+            raise BadValue(name, "atom name is not a string")
         if not name:
             raise BadAtom(name, "empty atom name")
         atom = self._by_name.get(name)

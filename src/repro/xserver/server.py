@@ -62,7 +62,7 @@ from .requests import REQUESTS
 from .screen import Screen
 from .stats import ServerStats
 from .trace import Tracer, auto_enable, monotonic_ns
-from .shape import SHAPE_BOUNDING, SHAPE_SET, ShapeRegion
+from .shape import SHAPE_BOUNDING, SHAPE_INVERT, SHAPE_SET, ShapeRegion
 from .window import (
     INPUT_ONLY,
     INPUT_OUTPUT,
@@ -609,6 +609,10 @@ class XServer:
         cursor: Optional[str] = None,
     ) -> Window:
         self._tick()
+        if not isinstance(override_redirect, bool):
+            # A bad BOOL, as in change_window_attributes: stored as
+            # given, a 5 would reach loopback watchers as 5.
+            raise BadValue(override_redirect, "override_redirect is a BOOL")
         if wid in self.windows:
             raise BadValue(wid, "window id already in use")
         if width <= 0 or height <= 0:
@@ -1783,9 +1787,15 @@ class XServer:
         y_offset: int = 0,
     ) -> None:
         """ShapeMask: combine a bitmap into the window's bounding shape.
-        A None mask removes the shape (back to rectangular)."""
+        A None mask removes the shape (back to rectangular).  A mask
+        that is neither, or an op outside Set..Invert, is BadValue
+        before the window changes."""
         self._tick()
         window = self.window(wid)
+        if mask is not None and not isinstance(mask, Bitmap):
+            raise BadValue(mask, "shape mask is not a bitmap")
+        if not isinstance(op, int) or not SHAPE_SET <= op <= SHAPE_INVERT:
+            raise BadValue(op, "bad shape operation")
         if mask is None:
             window.shape = None
             shaped = False
