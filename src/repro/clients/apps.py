@@ -57,8 +57,8 @@ class XEyes(SimApp):
         far = width - height
         rows = []
         for eye_row in Bitmap.disc(height).rows:
-            lo = eye_row.index(True)
-            row = [False] * width
+            lo = eye_row.index(1)
+            row = bytearray(width)
             row[:height] = eye_row
             row[far + lo:width - lo] = eye_row[lo:height - lo]
             rows.append(row)

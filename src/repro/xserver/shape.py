@@ -37,17 +37,16 @@ SHAPE_SUBTRACT = 3
 SHAPE_INVERT = 4
 
 
-def _row_walls(row: List[bool], dx: int) -> Tuple[int, ...]:
+def _row_walls(row: bytes, dx: int) -> Tuple[int, ...]:
     """The set runs of one bitmap row as region walls, shifted by *dx*."""
-    data = bytes(row)
     walls: List[int] = []
-    start = data.find(1)
+    start = row.find(1)
     while start >= 0:
-        end = data.find(0, start)
+        end = row.find(0, start)
         if end < 0:
-            end = len(data)
+            end = len(row)
         walls += (start + dx, end + dx)
-        start = data.find(1, end)
+        start = row.find(1, end)
     return tuple(walls)
 
 
@@ -56,7 +55,7 @@ def bitmap_region(mask: Bitmap, x_offset: int = 0, y_offset: int = 0) -> Region:
     canonical region.  Each row's runs are found with ``bytes.find``; a
     row equal to the one above extends the current band unscanned."""
     bands: List[Band] = []
-    above: Optional[List[bool]] = None
+    above: Optional[bytes] = None
     walls: Tuple[int, ...] = ()
     for y, row in enumerate(mask.rows, y_offset):
         if row == above:
@@ -73,19 +72,18 @@ def bitmap_region(mask: Bitmap, x_offset: int = 0, y_offset: int = 0) -> Region:
 def region_bitmap(region: Region, width: int, height: int) -> Bitmap:
     """Rasterise *region*, which lies inside the box (0, 0, *width*,
     *height*), into a bitmap of that size, one row per band."""
-    rows: List[List[bool]] = []
-    blank = [False] * width
+    rows: List[bytes] = []
+    blank = bytes(width)
     y = 0
     for y1, y2, walls in region.bands:
         rows += [blank] * (y1 - y)
-        row = [False] * width
+        row = bytearray(width)
         for i in range(0, len(walls), 2):
-            row[walls[i]:walls[i + 1]] = [True] * (walls[i + 1] - walls[i])
-        rows += [row] * (y2 - y1)
+            row[walls[i]:walls[i + 1]] = b"\1" * (walls[i + 1] - walls[i])
+        rows += [bytes(row)] * (y2 - y1)
         y = y2
     rows += [blank] * (height - y)
-    # Bitmap copies every row, so the shared row lists are not aliased.
-    return Bitmap(width, height, rows)
+    return Bitmap._of_rows(width, height, rows)
 
 
 class ShapeRegion:

@@ -358,7 +358,7 @@ def _encode_bitmap(out: bytearray, bitmap: Bitmap) -> None:
     _write_varint(out, bitmap.width)
     _write_varint(out, bitmap.height)
     nbytes = (bitmap.width * bitmap.height + 7) // 8
-    bits = b"".join(map(bytes, bitmap.rows))
+    bits = b"".join(bitmap.rows)
     # int() reads the most significant digit first: reversing the stream
     # makes its bit i the integer's bit i.
     value = int(bits[::-1].translate(_BITS_TO_DIGITS), 2) if bits else 0
@@ -376,11 +376,9 @@ def _decode_bitmap(buf: bytes, pos: int) -> Tuple[Bitmap, int]:
     value = int.from_bytes(buf[pos:pos + nbytes], "little")
     digits = format(value, f"0{nbytes * 8}b").encode()
     bits = digits[::-1].translate(_DIGITS_TO_BITS)
-    rows = [
-        list(map(bool, bits[start:start + width]))
-        for start in range(0, width * height, width)
-    ]
-    return Bitmap(width, height, rows), pos + nbytes
+    rows = [bits[start:start + width]
+            for start in range(0, width * height, width)]
+    return Bitmap._of_rows(width, height, rows), pos + nbytes
 
 
 #: Bitmaps above this bit count are rejected on decode (the dimensions

@@ -130,7 +130,8 @@ class TestValueCodec:
         assert encode_value(bitmap) == payload
         decoded = decode_value(payload)
         assert decoded == bitmap
-        assert all(type(bit) is bool for row in decoded.rows for bit in row)
+        assert all(type(row) is bytes and row.strip(b"\x00\x01") == b""
+                   for row in decoded.rows)
 
     def test_random_nested_values(self, wire_seed):
         rng = random.Random(wire_seed)
