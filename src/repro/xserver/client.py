@@ -21,9 +21,10 @@ range, pipeline, quotas — lives in
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import events as ev
+from .atoms import PREDEFINED
 from .bitmap import Bitmap
 from .event_mask import EventMask
 from .faults import ConnectionClosed
@@ -92,6 +93,9 @@ class ClientConnection:
         #: While a batch() is open: its buffered (name, args, kwargs)
         #: ops and the result dicts accumulated across its flushes.
         self._batch: Optional[Tuple[List[_Op], List[dict]]] = None
+        #: name -> atom for every name this connection has interned,
+        #: seeded with the predefined atoms; kept across a resume.
+        self._atoms: Dict[str, int] = dict(PREDEFINED)
 
     # -- connection lifecycle -------------------------------------------------
 
@@ -253,7 +257,25 @@ class ClientConnection:
     # -- atoms -----------------------------------------------------------------
 
     def intern_atom(self, name: str, only_if_exists: bool = False) -> Optional[int]:
-        return self._request("intern_atom", name, only_if_exists)
+        """InternAtom.  A predefined name, or one this connection has
+        interned before, is answered from the connection's cache with
+        no request, as Xlib does: an atom never changes while its
+        server lives.  A cached answer on a dead connection still
+        raises :class:`ConnectionClosed`."""
+        # Only a str is looked up: a list would not hash, and the
+        # server answers any other name with BadValue.
+        atom = self._atoms.get(name) if isinstance(name, str) else None
+        if atom is None:
+            return self._intern(name, only_if_exists)
+        self._check_alive()
+        return atom
+
+    def _intern(self, name: str, only_if_exists: bool) -> Optional[int]:
+        """Ask the server, and cache the atom it answers."""
+        atom = self._request("intern_atom", name, only_if_exists)
+        if atom is not None:  # an only_if_exists miss is asked again
+            self._atoms[name] = atom
+        return atom
 
     def get_atom_name(self, atom: int) -> str:
         return self._request("get_atom_name", atom)
@@ -420,7 +442,7 @@ class ClientConnection:
 
     def _resolve_atom(self, atom) -> int:
         if isinstance(atom, str):
-            return self._request("intern_atom", atom, False)
+            return self._atoms.get(atom) or self._intern(atom, False)
         return atom
 
     # -- send event --------------------------------------------------------------------

@@ -299,4 +299,7 @@ def test_seed_1337_fault_logs_are_pinned(tmp_path):
     wm_log = replay_workload(1337, str(tmp_path / "wm.places"))
     link_log = run_scenario(1337, str(tmp_path / "link.places"))["faults"]
     assert (len(wm_log), log_digest(wm_log)) == (148, "8ed3bbfcb0ae8048")
-    assert (len(link_log), log_digest(link_log)) == (81, "991bd6c36c0652c7")
+    # The link plan draws once per frame: since the client answers
+    # predefined and already-interned atoms from its own cache, the
+    # tour sends fewer frames (81 faults before the cache).
+    assert (len(link_log), log_digest(link_log)) == (55, "634bdbcca9c25284")

@@ -1,9 +1,10 @@
-"""Atom interning and window property storage."""
+"""Atom interning, the client's atom cache, and window property storage."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.xserver.atoms import AtomTable, LAST_PREDEFINED
+from repro.xserver import ClientConnection, ConnectionClosed, XServer
+from repro.xserver.atoms import AtomTable, LAST_PREDEFINED, PREDEFINED
 from repro.xserver.errors import BadAtom, BadMatch, BadValue
 from repro.xserver.properties import (
     PROP_MODE_APPEND,
@@ -12,6 +13,7 @@ from repro.xserver.properties import (
     Property,
     PropertyMap,
 )
+from repro.xserver.wire import FramedHost, FramedTransport
 
 
 class TestAtoms:
@@ -51,6 +53,78 @@ class TestAtoms:
         table = AtomTable()
         atoms = {name: table.intern(name) for name in names}
         assert len(set(atoms.values())) == len(set(names))
+
+
+def count_requests(monkeypatch, conn):
+    """The names of the requests *conn* sends from now on."""
+    sent = []
+    request = conn._transport.request
+
+    def counting(name, args=(), kwargs=None):
+        sent.append(name)
+        return request(name, args, kwargs)
+
+    monkeypatch.setattr(conn._transport, "request", counting)
+    return sent
+
+
+class TestAtomCache:
+    """Each connection answers the predefined atoms, and every name it
+    has interned, from its own cache, as Xlib does."""
+
+    @pytest.fixture
+    def conn(self):
+        return ClientConnection(XServer(), "app")
+
+    def test_predefined_names_send_no_request(self, monkeypatch, conn):
+        sent = count_requests(monkeypatch, conn)
+        for name, atom in PREDEFINED.items():
+            assert conn.intern_atom(name) == atom
+            assert conn.intern_atom(name, only_if_exists=True) == atom
+        wid = conn.create_window(conn.root_window(), 0, 0, 10, 10)
+        conn.change_property(wid, "WM_NAME", "STRING", 8, "x")
+        assert conn.get_string_property(wid, "WM_NAME") == "x"
+        assert "intern_atom" not in sent
+
+    def test_a_second_intern_of_a_new_name_sends_none(self, monkeypatch,
+                                                      conn):
+        other = ClientConnection(conn.server, "other")
+        sent = count_requests(monkeypatch, conn)
+        atom = conn.intern_atom("SWM_CACHED")
+        assert sent == ["intern_atom"]
+        assert conn.intern_atom("SWM_CACHED") == atom
+        assert conn.intern_atom("SWM_CACHED", only_if_exists=True) == atom
+        wid = conn.create_window(conn.root_window(), 0, 0, 10, 10)
+        conn.change_property(wid, "SWM_CACHED", "STRING", 8, "x")
+        assert sent.count("intern_atom") == 1
+        # The cache is the connection's: another client still asks, and
+        # the server gives it the same atom.
+        other_sent = count_requests(monkeypatch, other)
+        assert other.intern_atom("SWM_CACHED") == atom
+        assert other_sent == ["intern_atom"]
+
+    def test_an_only_if_exists_miss_is_asked_again(self, monkeypatch, conn):
+        sent = count_requests(monkeypatch, conn)
+        assert conn.intern_atom("SWM_LATER", only_if_exists=True) is None
+        assert conn.intern_atom("SWM_LATER", only_if_exists=True) is None
+        assert sent == ["intern_atom", "intern_atom"]
+        atom = ClientConnection(conn.server, "other").intern_atom("SWM_LATER")
+        assert conn.intern_atom("SWM_LATER", only_if_exists=True) == atom
+        assert conn.intern_atom("SWM_LATER") == atom
+        assert sent == ["intern_atom"] * 3
+
+    @pytest.mark.parametrize("framed", [False, True])
+    def test_a_closed_connection_raises_for_a_cached_name(self, framed):
+        if framed:
+            transport = FramedTransport(FramedHost(XServer()))
+            conn = ClientConnection(name="app", transport=transport)
+        else:
+            conn = ClientConnection(XServer(), "app")
+        conn.intern_atom("SWM_CACHED")
+        conn.close()
+        for name in ("SWM_CACHED", "WM_NAME"):
+            with pytest.raises(ConnectionClosed):
+                conn.intern_atom(name)
 
 
 class TestProperty:
