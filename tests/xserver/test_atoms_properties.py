@@ -126,6 +126,21 @@ class TestAtomCache:
             with pytest.raises(ConnectionClosed):
                 conn.intern_atom(name)
 
+    @pytest.mark.parametrize("framed", [False, True])
+    def test_a_closed_connection_interns_no_new_name(self, framed):
+        server = XServer()
+        if framed:
+            transport = FramedTransport(FramedHost(server))
+            conn = ClientConnection(name="app", transport=transport)
+        else:
+            conn = ClientConnection(server, "app")
+        conn.close()
+        with pytest.raises(ConnectionClosed):
+            conn.intern_atom("SWM_NEVER_INTERNED")
+        assert server.atoms.intern(
+            "SWM_NEVER_INTERNED", only_if_exists=True
+        ) is None
+
 
 class TestProperty:
     def test_string_property(self):
