@@ -178,28 +178,38 @@ class IconifyController(Subsystem):
             Rect(position.x, position.y, size.width, size.height),
         )
         icon = Icon(panel, window, holder=holder, managed=managed)
-        if holder is not None:
-            holder.add(icon)
         self.wm.icon_windows[window] = icon
         for obj in panel.iter_tree():
             if obj.window is not None:
                 self.wm.object_windows[obj.window] = (obj, managed, sc.number)
-        self.conn.map_window(window)
+        try:
+            if holder is not None:
+                holder.add(icon)
+            self.conn.map_window(window)
+        except XError:
+            self._discard(icon)  # nobody holds a half-built icon
+            raise
         return icon
+
+    def _discard(self, icon: Icon) -> None:
+        """Forget *icon* first, then take it out of its holder and
+        destroy its window: an X error in the holder's repack cannot
+        leave the icon registered."""
+        for obj in icon.panel.iter_tree():
+            if obj.window is not None:
+                self.wm.object_windows.pop(obj.window, None)
+        self.wm.icon_windows.pop(icon.window, None)
+        if icon.holder is not None:
+            self.guarded(icon.holder.remove, icon)
+        if self.conn.window_exists(icon.window):
+            self.guarded(self.conn.destroy_window, icon.window)
 
     def remove_icon(self, managed: "ManagedWindow") -> None:
         icon = managed.icon
         if icon is None:
             return
-        if icon.holder is not None:
-            icon.holder.remove(icon)
-        for obj in icon.panel.iter_tree():
-            if obj.window is not None:
-                self.wm.object_windows.pop(obj.window, None)
-        self.wm.icon_windows.pop(icon.window, None)
-        if self.conn.window_exists(icon.window):
-            self.guarded(self.conn.destroy_window, icon.window)
         managed.icon = None
+        self._discard(icon)
 
     def repair_icon(self, managed: "ManagedWindow") -> None:
         """The icon window vanished behind the WM's back (stale-XID
@@ -210,13 +220,8 @@ class IconifyController(Subsystem):
         icon = managed.icon
         if icon is None:
             return
-        if icon.holder is not None:
-            icon.holder.remove(icon)
-        for obj in icon.panel.iter_tree():
-            if obj.window is not None:
-                self.wm.object_windows.pop(obj.window, None)
-        self.wm.icon_windows.pop(icon.window, None)
         managed.icon = None
+        self._discard(icon)
         if managed.state != ICONIC_STATE:
             return
         if not self.conn.window_exists(managed.client):
