@@ -10,7 +10,7 @@ decoration or an icon; the object itself requests actions.
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, TypeVar, TYPE_CHECKING
 
 from ...toolkit.attributes import AttributeContext
 from ...xserver.event_mask import EventMask
@@ -35,6 +35,8 @@ OBJECT_EVENT_MASK = (
 
 LABEL_ATOM = "SWM_LABEL"
 
+T = TypeVar("T")
+
 
 class SwmObject:
     """Base class for the four swm object types."""
@@ -49,7 +51,8 @@ class SwmObject:
         self.parent: Optional["SwmObject"] = None
         self.children: List["SwmObject"] = []
         self._bindings_override: Optional[List[Binding]] = None
-        self._bindings_cache: Optional[List[Binding]] = None
+        self._resolved: Dict[str, object] = {}
+        self._resolved_generation = -1
 
     # -- resource path ----------------------------------------------------
 
@@ -86,9 +89,35 @@ class SwmObject:
     def cursor(self) -> str:
         return self.ctx.get_cursor(self.path)
 
+    def resolved(self, key: str, compute: Callable[[], T]) -> T:
+        """``compute()``, resolved once and kept under *key*.
+
+        The values come from the resource database, which does not
+        change while the WM runs: all of them are dropped when it does
+        (its ``_generation`` moves), and the natural size also by the
+        object's own content setters (:meth:`content_changed`)."""
+        generation = self.ctx.db._generation
+        if generation != self._resolved_generation:
+            self._resolved = {}
+            self._resolved_generation = generation
+        try:
+            return self._resolved[key]  # type: ignore[return-value]
+        except KeyError:
+            value = self._resolved[key] = compute()
+            return value
+
+    def content_changed(self) -> None:
+        """The label, text or image changed: measure again."""
+        self._resolved.pop("size", None)
+
     @property
     def padding(self) -> int:
-        return self.ctx.get_int(self.path, "padding", self.default_padding)
+        return self.resolved(
+            "padding",
+            lambda: self.ctx.get_int(
+                self.path, "padding", self.default_padding
+            ),
+        )
 
     @property
     def border_width(self) -> int:
@@ -103,10 +132,11 @@ class SwmObject:
         resource database's bindings attribute."""
         if self._bindings_override is not None:
             return self._bindings_override
-        if self._bindings_cache is None:
-            raw = self.attr_string("bindings", "")
-            self._bindings_cache = parse_bindings(raw) if raw else []
-        return self._bindings_cache
+        return self.resolved("bindings", self._parse_bindings)
+
+    def _parse_bindings(self) -> List[Binding]:
+        raw = self.attr_string("bindings", "")
+        return parse_bindings(raw) if raw else []
 
     def set_bindings(self, value) -> None:
         """Dynamically replace this object's bindings; pass a raw
@@ -122,8 +152,13 @@ class SwmObject:
     # -- geometry / realization ----------------------------------------------------
 
     def natural_size(self) -> Size:
-        """The object's preferred size; subclasses compute from
-        content + font metrics."""
+        """The object's preferred size, measured once (see
+        :meth:`resolved`)."""
+        return self.resolved("size", self.measure)
+
+    def measure(self) -> Size:
+        """The preferred size; subclasses compute it from content and
+        font metrics."""
         return Size(16, 16)
 
     def realize(

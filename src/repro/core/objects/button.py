@@ -46,18 +46,20 @@ class Button(SwmObject):
         if isinstance(image, str):
             image = lookup_bitmap(image)
         self._image_override = image
-        self._size_dirty = True
+        self.content_changed()
 
     def set_label(self, label: str) -> None:
         self._label_override = label
+        self.content_changed()
 
     def clear_overrides(self) -> None:
         self._image_override = None
         self._label_override = None
+        self.content_changed()
 
     # -- geometry --------------------------------------------------------------
 
-    def natural_size(self) -> Size:
+    def measure(self) -> Size:
         pad = self.padding
         image = self.image
         if image is not None:

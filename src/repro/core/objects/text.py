@@ -23,8 +23,9 @@ class TextObject(SwmObject):
 
     def set_text(self, text: str) -> None:
         self._text_override = text
+        self.content_changed()
 
-    def natural_size(self) -> Size:
+    def measure(self) -> Size:
         pad = self.padding
         width, height = self.font.text_extents(self.text)
         return Size(width + 2 * pad, height + 2 * pad)
