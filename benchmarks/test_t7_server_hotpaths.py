@@ -38,6 +38,7 @@ import pytest
 
 from repro import icccm
 from repro.clients import OClock, XTerm
+from repro.testing import wm_consistency_problems
 from repro.xserver import ClientConnection, EventMask, XServer, region, shape
 from repro.xserver.window import Window
 
@@ -412,3 +413,61 @@ def test_t7_offscreen_frame_guard(monkeypatch):
     ])
     assert (term_hits, term_exposed) == (2, [term_frame])
     assert (dialog_hits, dialog_exposed) == (2, [dialog_frame])
+
+
+def test_t7_relayout_work_guard(monkeypatch, tmp_path):
+    """One move+resize ConfigureRequest from an OpenLook+ xterm (resize
+    corners on) costs the server exactly the configures that move
+    something: the client's own (redirected), the client's resize, one
+    move+resize of the frame, the three objects whose rect changed
+    (``pulldown`` stays put) and the three corners that moved (the
+    top-left one does not, and none is restacked).  The WM reads no
+    geometry for a client configure or a WM move, and one for a launch.
+    Counted by wrapping `XServer.configure_window` and the WM's
+    `ClientConnection.get_geometry` from outside."""
+    server = fresh_server()
+    wm = fresh_wm(server, vdesk="3000x2400",
+                  places_path=str(tmp_path / "places"))
+    counts = {"configure_window": 0, "wm_get_geometry": 0}
+    configure_inner = XServer.configure_window
+    geometry_inner = ClientConnection.get_geometry
+
+    def counted_configure(self, *args, **kwargs):
+        counts["configure_window"] += 1
+        return configure_inner(self, *args, **kwargs)
+
+    def counted_geometry(self, wid):
+        if self is wm.conn:
+            counts["wm_get_geometry"] += 1
+        return geometry_inner(self, wid)
+
+    monkeypatch.setattr(XServer, "configure_window", counted_configure)
+    monkeypatch.setattr(ClientConnection, "get_geometry", counted_geometry)
+
+    term = XTerm(server, ["xterm", "-geometry", "200x120+100+100"])
+    wm.process_pending()
+    managed = wm.managed[term.wid]
+    assert managed.resize_corners
+    launch_reads = counts["wm_get_geometry"]
+
+    counts.update(configure_window=0, wm_get_geometry=0)
+    stats = server.stats()
+    notifies = stats.get("delivered", type="ConfigureNotify")
+    term.move_resize(300, 250, 260, 180)
+    wm.process_pending()
+    configures = counts["configure_window"]
+    notifies = stats.get("delivered", type="ConfigureNotify") - notifies
+    configure_reads = counts["wm_get_geometry"]
+
+    counts.update(wm_get_geometry=0)
+    wm.move_managed_to(managed, 40, 30)
+    move_reads = counts["wm_get_geometry"]
+    report("T7: work of one client move+resize (OpenLook+ xterm)", [
+        f"server configure_window calls: {configures}",
+        f"ConfigureNotify delivered: {notifies}",
+        f"WM get_geometry: launch {launch_reads},"
+        f" configure {configure_reads}, WM move {move_reads}",
+    ])
+    assert (configures, notifies) == (9, 4)
+    assert (launch_reads, configure_reads, move_reads) == (1, 0, 0)
+    assert wm_consistency_problems(wm) == []  # the model kept up

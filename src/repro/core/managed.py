@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
 from ..icccm.hints import NORMAL_STATE, SizeHints, WMHints
-from ..xserver.geometry import Point, Rect
+from ..xserver.geometry import Point, Rect, Size
 
 if TYPE_CHECKING:  # pragma: no cover
     from .objects.panel import Panel
@@ -22,6 +22,15 @@ class ManagedWindow:
     non-sticky windows the frame is a child of the Virtual Desktop
     window and its coordinates are *desktop* coordinates; sticky frames
     are children of the real root (§6.2).
+
+    The record is also the WM's window model, as twm's ``TwmWindow``
+    keeps ``frame_x/y/width/height``: ``frame_rect`` (in the frame's
+    parent's coordinates) and ``client_size`` are what the WM last
+    asked the server for, updated before the request goes out, and
+    ``command`` / ``machine`` (WM_COMMAND as a shell string, and
+    WM_CLIENT_MACHINE) follow the client's PropertyNotify.  The WM
+    reads the server for them only at manage, and after a request that
+    carried a change failed (``Swm.configuring``).
     """
 
     client: int
@@ -29,6 +38,10 @@ class ManagedWindow:
     screen: int
     decoration: "Panel"
     client_offset: Point
+    frame_rect: Rect
+    client_size: Size
+    command: Optional[str] = None
+    machine: Optional[str] = None
     instance: str = ""
     class_name: str = ""
     name: str = ""

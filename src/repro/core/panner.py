@@ -139,7 +139,7 @@ class Panner:
             if managed is None:
                 return None
             desk = self.panner_to_desktop(x, y)
-            frame_rect = self._frame_rect(managed)
+            frame_rect = managed.frame_rect
             self.drag = PannerDrag(
                 kind="window",
                 managed=managed,
@@ -201,10 +201,6 @@ class Panner:
             self.window, self.vdesk.screen.root.id, 0, 0
         )
         return Point(x, y)
-
-    def _frame_rect(self, managed: "ManagedWindow") -> Rect:
-        x, y, width, height, _ = self.conn.get_geometry(managed.frame)
-        return Rect(x, y, width, height)
 
     # -- resizing -------------------------------------------------------------------
 

@@ -146,13 +146,8 @@ class DesktopController(Subsystem):
         index %= len(sc.vdesks)
         if index == managed.desktop:
             return
-        rect = self.guarded(self.wm.frame_rect, managed)
-        if rect is None:  # frame raced away; the reaper will catch up
-            return
-        self.guarded(
-            self.conn.reparent_window,
-            managed.frame, sc.vdesks[index].window, rect.x, rect.y,
-        )
+        rect = managed.frame_rect
+        self.reparent_frame(managed, sc.vdesks[index].window, rect.x, rect.y)
         managed.desktop = index
         self.guarded(
             self.conn.change_property,
@@ -170,7 +165,7 @@ class DesktopController(Subsystem):
         """Warp the pointer to a window, panning the desktop so it is
         visible first if necessary."""
         sc = self.wm.screens[managed.screen]
-        rect = self.wm.frame_rect(managed)
+        rect = managed.frame_rect
         if sc.vdesk is not None and not managed.sticky:
             view = sc.vdesk.view_rect()
             if not view.contains_rect(rect) and not view.intersects(rect):
@@ -191,14 +186,9 @@ class DesktopController(Subsystem):
         managed.sticky = True
         if sc.vdesks:
             vdesk = sc.vdesks[managed.desktop]
-            rect = self.guarded(self.wm.frame_rect, managed)
-            if rect is None:
-                return
+            rect = managed.frame_rect
             view = vdesk.desktop_to_view(rect.x, rect.y)
-            self.guarded(
-                self.conn.reparent_window,
-                managed.frame, sc.root, view.x, view.y,
-            )
+            self.reparent_frame(managed, sc.root, view.x, view.y)
         self.set_swm_root(managed)
         self.update_panner(sc)
         if not managed.is_internal:
@@ -211,18 +201,27 @@ class DesktopController(Subsystem):
         managed.sticky = False
         if sc.vdesk is not None:
             managed.desktop = sc.current_desktop
-            rect = self.guarded(self.wm.frame_rect, managed)
-            if rect is None:
-                return
+            rect = managed.frame_rect
             desk = sc.vdesk.view_to_desktop(rect.x, rect.y)
-            self.guarded(
-                self.conn.reparent_window,
-                managed.frame, sc.vdesk.window, desk.x, desk.y,
-            )
+            self.reparent_frame(managed, sc.vdesk.window, desk.x, desk.y)
         self.set_swm_root(managed)
         self.update_panner(sc)
         if not managed.is_internal:
             self.wm.note_session_change(managed)
+
+    def reparent_frame(
+        self, managed: "ManagedWindow", parent: int, x: int, y: int
+    ) -> None:
+        """Move the frame to *parent* at (x, y), model first; an X
+        error (the frame raced away) is counted, and the reaper
+        catches up."""
+        managed.frame_rect = managed.frame_rect.moved_to(x, y)
+
+        def reparent() -> None:
+            with self.wm.configuring(managed, batch=False):
+                self.conn.reparent_window(managed.frame, parent, x, y)
+
+        self.guarded(reparent, what="reparent_window")
 
     def set_swm_root(self, managed: "ManagedWindow") -> None:
         """Maintain the SWM_ROOT property on the client (§6.3): updated
@@ -255,10 +254,7 @@ class DesktopController(Subsystem):
                 continue
             if managed.desktop != sc.current_desktop:
                 continue
-            rect = self.guarded(self.wm.frame_rect, managed)
-            if rect is None:  # frame raced away mid-enumeration
-                continue
-            out.append((rect, managed))
+            out.append((managed.frame_rect, managed))
         return out
 
     def update_panner(self, sc: "ScreenContext") -> None:

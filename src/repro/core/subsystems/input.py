@@ -239,7 +239,7 @@ class InputController(Subsystem):
             kind="move",
             managed=managed,
             start_pointer=pointer,
-            start_rect=self.wm.frame_rect(managed),
+            start_rect=managed.frame_rect,
         )
         sc = self.wm.screens[managed.screen]
         self.conn.grab_pointer(
@@ -257,7 +257,7 @@ class InputController(Subsystem):
             kind="resize",
             managed=managed,
             start_pointer=pointer,
-            start_rect=self.wm.frame_rect(managed),
+            start_rect=managed.frame_rect,
         )
         sc = self.wm.screens[managed.screen]
         self.conn.grab_pointer(
@@ -283,15 +283,13 @@ class InputController(Subsystem):
             # itself instead of an outline.
             sc = wm.screens[drag.managed.screen]
             if sc.ctx.get_bool([], "opaqueMove", False):
-                self.conn.move_window(
-                    drag.managed.frame, drag.current.x, drag.current.y
-                )
+                wm.move_frame(drag.managed, drag.current.x, drag.current.y)
             # Dragging into the panner continues the move as a
             # miniature drag (§6.1).
             if sc.panner is not None:
                 panner_managed = wm.managed.get(sc.panner.window)
                 if panner_managed is not None:
-                    panner_rect = wm.frame_rect(panner_managed)
+                    panner_rect = panner_managed.frame_rect
                     drag.in_panner = panner_rect.contains(
                         event.x_root, event.y_root
                     )
@@ -322,7 +320,7 @@ class InputController(Subsystem):
                 # away, in which case fall back to a plain move).
                 panner_managed = wm.managed.get(sc.panner.window)
                 panner_rect = (
-                    self.guarded(wm.frame_rect, panner_managed)
+                    panner_managed.frame_rect
                     if panner_managed is not None
                     else None
                 )
@@ -338,7 +336,7 @@ class InputController(Subsystem):
         else:
             new_width = drag.start_rect.width + dx
             new_height = drag.start_rect.height + dy
-            client = wm._client_size(managed)
+            client = managed.client_size
             deco_w = drag.start_rect.width - client.width
             deco_h = drag.start_rect.height - client.height
             wm.resize_managed(

@@ -144,15 +144,13 @@ class RestartController(Subsystem):
             self.mark_dirty()
         return absorbed
 
-    def match_restart_entry(self, client: int) -> Optional[dict]:
+    def match_restart_entry(
+        self, command: Optional[str], machine: Optional[str]
+    ) -> Optional[dict]:
         """Find (and consume) a session-restart record whose WM_COMMAND
         — and, when present, WM_CLIENT_MACHINE — matches (§7)."""
-        command = self.guarded(
-            icccm.get_wm_command_string, self.conn, client
-        )
         if command is None or not self.restart_table:
             return None
-        machine = self.guarded(icccm.get_wm_client_machine, self.conn, client)
         for entry in self.restart_table:
             if entry["command"] != command:
                 continue
@@ -489,8 +487,12 @@ class RestartController(Subsystem):
                 # Replaying one survivor re-issues its whole configure
                 # history (frame geometry, decoration layout, border
                 # strip); batch each replay's mutations per window.
-                with self.conn.batch():
-                    wm.manage(client)
+                with self.conn.batch() as results:
+                    managed = wm.manage(client)
+                if managed is not None and not all(
+                    result["ok"] for result in results
+                ):
+                    wm._resync(managed)  # a batched configure failed
 
 
 def _alive(window: Optional["Window"]) -> bool:

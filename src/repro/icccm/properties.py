@@ -16,6 +16,7 @@ import shlex
 from typing import List, Optional, Sequence, Tuple
 
 from ..xserver.client import ClientConnection
+from ..xserver.properties import Property
 from .hints import SizeHints, WMHints, WMState
 
 
@@ -98,10 +99,15 @@ def get_wm_command(conn: ClientConnection, wid: int) -> Optional[List[str]]:
 
 def get_wm_command_string(conn: ClientConnection, wid: int) -> Optional[str]:
     """The command as a shell string, quoting arguments that need it."""
-    argv = get_wm_command(conn, wid)
-    if argv is None:
+    prop = conn.get_property(wid, "WM_COMMAND")
+    return command_string(prop) if prop is not None else None
+
+
+def command_string(prop: Property) -> Optional[str]:
+    """A WM_COMMAND property as a shell string."""
+    if prop.format != 8:
         return None
-    return " ".join(shlex.quote(arg) for arg in argv)
+    return " ".join(shlex.quote(arg) for arg in prop.as_strings())
 
 
 def get_wm_client_machine(conn: ClientConnection, wid: int) -> Optional[str]:

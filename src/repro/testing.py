@@ -221,6 +221,7 @@ def wm_consistency_problems(wm: "Swm") -> List[str]:
             problems.append(
                 f"normal-state client {client:#x} has an unmapped frame"
             )
+        problems.extend(_model_problems(server, managed, frame_win, client_win))
 
     for frame, managed in wm.frames.items():
         if wm.managed.get(managed.client) is not managed:
@@ -258,6 +259,47 @@ def wm_consistency_problems(wm: "Swm") -> List[str]:
             )
 
     return problems
+
+
+def _model_problems(server, managed, frame_win, client_win) -> List[str]:
+    """Where *managed*'s window model (frame rect, client size, and
+    the WM_COMMAND / WM_CLIENT_MACHINE strings the checkpoint saves)
+    differs from what the server holds."""
+    from .icccm.properties import command_string
+
+    problems = []
+    client = managed.client
+    frame = frame_win.rect
+    if managed.frame_rect != frame:
+        problems.append(
+            f"client {client:#x} model frame rect {managed.frame_rect}"
+            f" != server {frame}"
+        )
+    size = (client_win.rect.width, client_win.rect.height)
+    if tuple(managed.client_size) != size:
+        problems.append(
+            f"client {client:#x} model size {tuple(managed.client_size)}"
+            f" != server {size}"
+        )
+    for name, modelled, decode in (
+        ("WM_COMMAND", managed.command, command_string),
+        ("WM_CLIENT_MACHINE", managed.machine, _string),
+    ):
+        atom = server.atoms.intern(name, only_if_exists=True)
+        prop = client_win.properties.get(atom) if atom else None
+        actual = decode(prop) if prop is not None else None
+        if modelled != actual:
+            problems.append(
+                f"client {client:#x} model {name} {modelled!r}"
+                f" != server {actual!r}"
+            )
+    return problems
+
+
+def _string(prop) -> Optional[str]:
+    """A STRING property as ``ClientConnection.get_string_property``
+    reads it."""
+    return prop.as_string().rstrip("\0") if prop.format == 8 else None
 
 
 def assert_wm_consistent(wm: "Swm") -> None:

@@ -195,6 +195,21 @@ class TestConfigureRequests:
         managed = wm.managed[app.wid]
         assert tuple(wm.client_desktop_position(managed)) == (300, 250)
 
+    def test_another_clients_request_on_a_frame_is_refused(
+        self, server, wm
+    ):
+        """The WM alone places its frames: a ConfigureRequest for one
+        from another client is not passed through behind the WM's
+        window model."""
+        app = XTerm(server, ["xterm", "-geometry", "+100+100"])
+        wm.process_pending()
+        managed = wm.managed[app.wid]
+        before = server.window(managed.frame).rect
+        app.conn.move_window(managed.frame, 700, 500)
+        wm.process_pending()
+        assert server.window(managed.frame).rect == before
+        assert wm.frame_rect(managed) == before
+
     @pytest.mark.parametrize("function", ["f.zoom", "f.hzoom", "f.vzoom"])
     def test_zoom_and_restore_send_one_notify_each(
         self, server, wm, function
