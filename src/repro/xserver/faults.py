@@ -133,6 +133,12 @@ class ConnectionClosed(Exception):
         self.client_id = client_id
         super().__init__(f"connection to client {client_id} closed")
 
+    def renewed(self) -> "ConnectionClosed":
+        """A new exception saying the same, to raise again: raising one
+        object over and over grows its traceback and keeps old frames
+        alive."""
+        return ConnectionClosed(self.client_id)
+
 
 class WMCrash(Exception):
     """The window manager process died at an injected crash point.

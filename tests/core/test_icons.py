@@ -8,6 +8,8 @@ from repro.core.icons import IconHolder
 from repro.core.templates import load_template
 from repro.core.wm import Swm
 from repro.icccm.hints import ICONIC_STATE
+from repro.testing import wm_consistency_problems
+from repro.xserver.errors import BadWindow
 from repro.xserver.geometry import Size
 
 
@@ -195,6 +197,51 @@ class TestIconHolders:
         # The remaining icon repacked into slot 0.
         x, y, _, _, _ = wm.conn.get_geometry(second_icon.window)
         assert (x, y) == tuple(holder.slot_position(0))
+
+    @pytest.mark.parametrize("failing", ["holder", "map"])
+    def test_failed_icon_build_leaves_nothing_registered(
+        self, server, holder_db, monkeypatch, failing
+    ):
+        """An X error in the holder's deposit or in the icon's map ends
+        the build: the half-built icon is neither registered nor held,
+        its window is gone, and the client stays in its normal state."""
+        wm = Swm(server, holder_db)
+        term = XTerm(server, ["xterm"])
+        wm.process_pending()
+        managed = wm.managed[term.wid]
+        holder = wm.screens[0].icon_holders[0]
+        known = set(wm.icon_windows)
+        objects = set(wm.object_windows)
+        built = []
+        if failing == "holder":
+            refresh = IconHolder._refresh
+
+            def failing_refresh(self):
+                if not built:
+                    built.extend(icon.window for icon in self.icons)
+                    raise BadWindow(self.window)
+                refresh(self)
+
+            monkeypatch.setattr(IconHolder, "_refresh", failing_refresh)
+        else:
+            map_window = wm.conn.map_window
+
+            def failing_map(wid):
+                if wid in wm.icon_windows and wid not in known:
+                    built.append(wid)
+                    raise BadWindow(wid)
+                return map_window(wid)
+
+            monkeypatch.setattr(wm.conn, "map_window", failing_map)
+        wm.iconify(managed)
+        assert len(built) == 1  # the error hit the icon under build
+        assert managed.icon is None
+        assert managed.state != ICONIC_STATE
+        assert set(wm.icon_windows) == known
+        assert set(wm.object_windows) == objects
+        assert holder.icons == []
+        assert not wm.conn.window_exists(built[0])
+        assert wm_consistency_problems(wm) == []
 
     def test_hide_when_empty(self, server, db):
         db.put("swm*iconHolders", "stash")
