@@ -1,19 +1,24 @@
-"""The uncached clip-region reference, and an oracle that checks every
-cached clip against it.
+"""Uncached references for the window tree's cached reads, and an
+oracle that checks every cached read against them.
 
+:func:`manual_origin` sums a window's root origin from its ancestors'
+rects; :func:`manual_viewable` walks its ancestors' ``mapped`` bits.
 :func:`uncached_clips` recomputes every window's clip in a tree from
 scratch; :func:`reference_clip` recomputes one window's, along its
-ancestor chain only.  Both read nothing the server caches: origins are
-summed from the ancestors' rects, boxes are rebuilt from each child's
-rect and border, and every step runs the general band sweep
-(`_combine`) on one-rectangle band lists, so the reference never takes
-the rectangle paths of `Region` that the cached clips use.
+ancestor chain only.  None of them reads anything the server caches:
+origins are summed from the ancestors' rects, boxes are rebuilt from
+each child's rect and border, and every clip step runs the general band
+sweep (`_combine`) on one-rectangle band lists, so the reference never
+takes the rectangle paths of `Region` that the cached clips use.
 
-:func:`install_clip_oracle` wraps ``Window.clip_region`` with
-``monkeypatch`` so that every region it returns, to the server or to a
-test, is compared with :func:`reference_clip`.  Nothing in ``src/``
-knows about it, and a run without it pays nothing.
+:func:`install_cache_oracle` wraps ``Window.clip_region``,
+``Window.position_in_root`` and ``Window.viewable`` with
+``monkeypatch`` so that every value they return, to the server or to a
+test, is compared with its reference.  Nothing in ``src/`` knows about
+it, and a run without it pays nothing.
 """
+
+from collections import Counter
 
 from repro.xserver.geometry import Rect
 from repro.xserver.region import _INTERSECT, _SUBTRACT, Region, _combine
@@ -27,6 +32,13 @@ def manual_origin(window):
         x += ancestor.rect.x + ancestor.border_width
         y += ancestor.rect.y + ancestor.border_width
     return x, y
+
+
+def manual_viewable(window):
+    """Mapped, with every ancestor mapped, by walking the chain."""
+    return window.mapped and all(
+        ancestor.mapped for ancestor in window.ancestors()
+    )
 
 
 def _root_clip(root):
@@ -98,13 +110,38 @@ def reference_clip(window):
     return clip
 
 
-def install_clip_oracle(monkeypatch):
-    """Check every region ``Window.clip_region`` returns against
-    :func:`reference_clip`; a mismatch fails with the window id, the
-    cached region's rectangles and the reference's.  Returns the list of
-    checked window ids, which grows as clips are read."""
+def install_cache_oracle(monkeypatch):
+    """Check every root origin, viewability bit and clip region that
+    ``Window.position_in_root``, ``Window.viewable`` and
+    ``Window.clip_region`` return against :func:`manual_origin`,
+    :func:`manual_viewable` and :func:`reference_clip`.  A mismatch
+    fails with the window id, the cached value and the reference.
+    Returns a counter of the reads checked so far, by kind (``origin``,
+    ``viewable``, ``clip``)."""
+    cached_position_in_root = Window.position_in_root
+    cached_viewable = Window.viewable.fget
     cached_clip_region = Window.clip_region
-    checked = []
+    checked = Counter()
+
+    def position_in_root(window):
+        origin = cached_position_in_root(window)
+        reference = manual_origin(window)
+        assert (origin.x, origin.y) == reference, (
+            f"stale origin on window {window.id:#x}: cached"
+            f" {(origin.x, origin.y)} != reference {reference}"
+        )
+        checked["origin"] += 1
+        return origin
+
+    def viewable(window):
+        value = cached_viewable(window)
+        reference = manual_viewable(window)
+        assert value == reference, (
+            f"stale viewable on window {window.id:#x}: cached {value}"
+            f" != reference {reference}"
+        )
+        checked["viewable"] += 1
+        return value
 
     def clip_region(window):
         region = cached_clip_region(window)
@@ -113,8 +150,10 @@ def install_clip_oracle(monkeypatch):
             f"stale clip on window {window.id:#x}: cached"
             f" {region.rects()} != reference {reference.rects()}"
         )
-        checked.append(window.id)
+        checked["clip"] += 1
         return region
 
+    monkeypatch.setattr(Window, "position_in_root", position_in_root)
+    monkeypatch.setattr(Window, "viewable", property(viewable))
     monkeypatch.setattr(Window, "clip_region", clip_region)
     return checked

@@ -7,9 +7,10 @@ maps, configures and reparents are redirected, and then checks the
 global tree invariants a real server maintains, comparing every cached
 answer (root origins, viewability, stacking indexes and hit tests, the
 pointer window, QueryPointer's child, clip regions) with an uncached
-recomputation.  The clip oracle (``tests/clip_oracle.py``) is installed
-for the random sequences and the widget-grid churn, so every clip the
-server reads mid-sequence, for an Expose, is checked too, not only the
+recomputation.  The cache oracle (``tests/clip_oracle.py``) is
+installed for the random sequences and the widget-grid churn, so every
+root origin, viewability bit and clip the server reads mid-sequence
+(for a hit test, a notify or an Expose) is checked too, not only the
 ones read between operations.
 """
 
@@ -25,7 +26,9 @@ from repro.xserver import (
 )
 from repro.xserver.geometry import Rect
 
-from ..clip_oracle import install_clip_oracle, manual_origin, uncached_clips
+from ..clip_oracle import (
+    install_cache_oracle, manual_origin, manual_viewable, uncached_clips,
+)
 
 OPS = st.sampled_from(
     ["create", "create_child", "map", "unmap", "reparent",
@@ -86,10 +89,7 @@ def check_invariants(server):
         assert wid in reachable, f"orphan window {wid:#x}"
     # Viewability is consistent with the ancestor chain.
     for window in server.windows.values():
-        expected = window.mapped and all(
-            ancestor.mapped for ancestor in window.ancestors()
-        )
-        assert window.viewable == expected
+        assert window.viewable == manual_viewable(window)
     # position_in_root is the sum of ancestor offsets.
     for window in server.windows.values():
         origin = window.position_in_root()
@@ -133,14 +133,15 @@ def check_invariants(server):
 
 
 @pytest.fixture(scope="class")
-def clip_oracle():
-    """Every clip read in the class checked against the reference.
-    Class-scoped: hypothesis runs many examples in one test call."""
+def cache_oracle():
+    """Every origin, viewability bit and clip read in the class checked
+    against its reference.  Class-scoped: hypothesis runs many examples
+    in one test call."""
     with pytest.MonkeyPatch.context() as monkeypatch:
-        yield install_clip_oracle(monkeypatch)
+        yield install_cache_oracle(monkeypatch)
 
 
-@pytest.mark.usefixtures("clip_oracle")
+@pytest.mark.usefixtures("cache_oracle")
 class TestRandomOps:
     @given(
         ops=st.lists(st.tuples(OPS, st.integers(0, 9), st.integers(0, 9)),
@@ -316,7 +317,7 @@ class TestRandomOps:
         check_invariants(server)
 
 
-@pytest.mark.usefixtures("clip_oracle")
+@pytest.mark.usefixtures("cache_oracle")
 class TestWidgetGridClips:
     """The shape of perfbench's ``stack_churn``: a top-level partly
     covered by a sibling, holding a 16 x 8 grid of bordered children
