@@ -24,9 +24,7 @@ from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 #: Cache families reported by :meth:`ServerStats.cache_counters`.
-CACHE_KINDS = (
-    "geometry", "visibility", "stacking_index", "interest", "region"
-)
+CACHE_KINDS = ("geometry", "stacking_index", "interest", "region")
 
 #: Every counter series: name -> the labels that key it, in order.
 SERIES: Dict[str, Tuple[str, ...]] = {

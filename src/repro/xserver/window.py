@@ -11,54 +11,53 @@ Hot-path caching
 Every pointer event the server synthesises walks this tree: root-origin
 accumulation (`position_in_root`), viewability checks, event-interest
 lookups, and top-down hit testing; every Expose reads a clip region.
-Those used to be O(depth) or O(children x depth) per call; they are now
-lazy caches whose counters are shared per tree (:class:`TreeCaches`):
+The caches behind them keep their counters per tree
+(:class:`TreeCaches`):
 
-- **geometry clock** — bumped whenever any window's position, size,
-  border width, or parent changes.  Each window memoises its root
-  origin stamped with the clock value it was validated at; a stamped
-  match is a hit, otherwise the origin revalidates through the (also
-  memoised) parent chain, so one change costs one root-to-leaf walk for
-  the first query and O(1) afterwards.
-- **visibility clock** — bumped on map/unmap/reparent and on a SHAPE
-  change; validates the cached ``viewable`` bit the same way.
+- **root origins and clip regions** — each window memoises its root
+  origin and its visible ("clip") region in root coordinates
+  (:meth:`~Window.clip_region`), both under one *key*: the parent's
+  child-list stamp they were computed under.  Every window holds a
+  child-list stamp, minted anew whenever something its children's
+  cached values read changes: a child's ``rect``, ``border_width``,
+  ``mapped`` or ``shape``, a child created, destroyed, restacked,
+  circulated or reparented in or out, and the window's own origin or
+  clip.  A read validates the chain (:meth:`~Window._validate`): it
+  walks up while each key matches, and from the first stale window
+  down it recomputes the origin, forgets the clip and mints the
+  window's own stamp, so every child's key goes stale in turn.  A
+  configure therefore re-derives the window, its siblings and their
+  subtrees, when read, never its ancestors or cousins, as the X sample
+  server's ``miValidateTree`` validates per parent.  A Virtual Desktop
+  pan (one configure of a window with hundreds of descendants) mints
+  one stamp.  A root has no parent: its key is ``_ROOT_KEY`` while
+  valid, and its own geometry change sets it to -1.  Stamps come from
+  one process-wide counter, so no two windows share a value.
+- **viewability** is not cached.  ``viewable`` walks up ``mapped``
+  bits: a hit under the per-parent key would cost the same O(depth)
+  walk, and every configure reads it.
 - **stacking index** — each parent's :meth:`~Window.stacking_index`:
   top-to-bottom outer boxes of its mapped children, in the parent's own
   interior coordinates, used by the server's hit-test descent and by
   the clip computation.  It reads nothing outside the parent's
-  children, so no clock validates it: it is dropped only when they
+  children, so no key validates it: it is dropped only when they
   change — a mapped child's ``rect`` or ``border_width``, any child's
   ``mapped``, or a mapped child added, removed, restacked or reparented
   in or out.  A configure in one toolkit, or a pan of a window above
   it, leaves every other index valid; a hit test translates the point
-  once by the parent's cached root origin.
+  once by the parent's root origin.
 - **interest caches** — the combined event mask and per-mask listener
   lists are memoised per window and invalidated only by
   :meth:`~Window.select_input` / :meth:`~Window.drop_client`.
-- **clip regions** — each window memoises its visible ("clip") region
-  in root coordinates (:meth:`~Window.clip_region`): its rectangle,
-  intersected with the parent's clip, minus the opaque siblings stacked
-  above it.  No tree-wide clock validates it.  Instead every window
-  holds a *child-list stamp*, minted anew on each change its children's
-  clips read: a child's ``rect``, ``border_width``, ``mapped`` or
-  ``shape``, or a child created, destroyed, restacked, circulated or
-  reparented in or out.  Recomputing a window's own clip mints its
-  stamp too, so the stamp doubles as the clip's version.  A clip
-  records the parent's stamp it was computed under, so a lookup walks
-  up to the root and back down, recomputing only the windows whose key
-  no longer matches: after a configure, the window, its siblings and
-  their subtrees, never its ancestors or cousins, as the X sample
-  server's ``miValidateTree`` does.  A root's own geometry change drops
-  the root's clip.  Stamps come from one process-wide counter, so a
-  window moved into another tree can never match a stale key.  A Virtual Desktop pan (one configure of a window with hundreds
-  of descendants) still bumps one stamp.  This is what turns exposure
-  generation into damage-rect delivery instead of whole-tree walks.
+
+Every walk here is iterative: a client can nest windows deeper than
+the Python recursion limit within its window quota.
 
 Mutation goes through property setters (``rect``, ``border_width``,
 ``mapped``, ``shape``) and the tree methods (:meth:`~Window.reparent`,
 :meth:`~Window.detach`, :meth:`~Window.restack`), so any change — the
 server's or a test's — invalidates correctly; there is no way to move a
-window without bumping its stamps.  Cache hit/miss/invalidation
+window without minting a stamp.  Cache hit/miss/invalidation
 counters accumulate on the :class:`TreeCaches` and surface through
 ``server.stats()``.
 """
@@ -99,32 +98,21 @@ Box = Tuple[int, int, int, int]
 #: windows, in one tree or in two, share a value.
 _next_stamp = itertools.count(1).__next__
 
-#: The clip key of a valid root clip (a root has no parent stamp; every
-#: minted stamp is positive).
+#: The key of a valid root (a root has no parent stamp; every minted
+#: stamp is positive).
 _ROOT_KEY = 0
 
 
 class TreeCaches:
-    """Shared invalidation clocks + cache counters for one window tree.
-
-    Created by each root window and inherited by every descendant; a
-    clock bump is O(1) and lazily invalidates every root origin or
-    viewability bit in the tree, so a Virtual Desktop pan (one
-    ConfigureWindow on a window with hundreds of descendants) costs one
-    increment, and only windows actually queried afterwards pay for
-    revalidation.  Clip regions read no clock: see
-    :meth:`Window.clip_region`.
-    """
+    """Cache counters for one window tree, created by each root window
+    and shared by every descendant.  ``geometry`` counts the windows
+    :meth:`Window._validate` found valid (hits) or re-derived (misses),
+    and geometry changes (invalidations)."""
 
     __slots__ = (
-        "geometry_clock",
-        "visibility_clock",
         "geometry_hits",
         "geometry_misses",
         "geometry_invalidations",
-        "visibility_hits",
-        "visibility_misses",
-        "visibility_invalidations",
         "index_hits",
         "index_misses",
         "stacking_invalidations",
@@ -137,21 +125,13 @@ class TreeCaches:
     )
 
     def __init__(self) -> None:
-        self.geometry_clock = 0
-        self.visibility_clock = 0
         self.reset_counters()
 
-    # -- counters ---------------------------------------------------------
-
     def reset_counters(self) -> None:
-        """Zero the hit/miss/invalidation counters (clocks keep ticking;
-        resetting them would revalidate stale stamps as fresh)."""
+        """Zero the hit/miss/invalidation counters."""
         self.geometry_hits = 0
         self.geometry_misses = 0
         self.geometry_invalidations = 0
-        self.visibility_hits = 0
-        self.visibility_misses = 0
-        self.visibility_invalidations = 0
         self.index_hits = 0
         self.index_misses = 0
         self.stacking_invalidations = 0
@@ -169,11 +149,6 @@ class TreeCaches:
                 "hits": self.geometry_hits,
                 "misses": self.geometry_misses,
                 "invalidations": self.geometry_invalidations,
-            },
-            "visibility": {
-                "hits": self.visibility_hits,
-                "misses": self.visibility_misses,
-                "invalidations": self.visibility_invalidations,
             },
             "stacking_index": {
                 "hits": self.index_hits,
@@ -231,18 +206,15 @@ class Window:
         self.background: Optional[str] = None
         self.cursor: Optional[str] = None
         self._shape: Optional["ShapeRegion"] = None
-        self._origin: Optional[Point] = None
-        self._origin_stamp = -1
-        self._viewable = False
-        self._viewable_stamp = -1
         self._index: Optional[List[Tuple["Window", Box]]] = None
-        # Minted anew whenever something a child's clip reads changes,
-        # this window's own clip included.
+        # Minted anew whenever something a child's cached values read
+        # changes, this window's own origin and clip included.
         self._child_stamp = _next_stamp()
-        # The clip and the parent's stamp it was computed under (-1: no
-        # valid clip).
-        self._clip: Region = Region.EMPTY
-        self._clip_key = -1
+        # The parent's stamp the origin and clip were computed under
+        # (-1: never), and the clip (None: not computed under this key).
+        self._key = -1
+        self._origin = Point(0, 0)
+        self._clip: Optional[Region] = None
         self._all_masks: Optional[EventMask] = None
         self._selecting: Dict[EventMask, List[int]] = {}
         if parent is not None:
@@ -270,14 +242,7 @@ class Window:
         old_parent._child_changed(self)
         self._parent = new_parent
         new_parent.children.append(self)
-        if new_parent.caches is not self.caches:
-            # Adopted into a different tree (never across screens via the
-            # server, but keep standalone Window use correct): the whole
-            # subtree must share the new tree's clocks and counters.
-            self._adopt_caches(new_parent.caches)
-        new_parent._child_changed(self)
         self._invalidate_geometry()
-        self._invalidate_visibility()
 
     def detach(self) -> None:
         """Unlink a destroyed window from its parent's children."""
@@ -285,14 +250,6 @@ class Window:
         if parent is not None and self in parent.children:
             parent.children.remove(self)
             parent._child_changed(self)
-
-    def _adopt_caches(self, caches: TreeCaches) -> None:
-        self.caches = caches
-        self._origin_stamp = -1
-        self._viewable_stamp = -1
-        self._clip_key = -1
-        for child in self.children:
-            child._adopt_caches(caches)
 
     def root(self) -> "Window":
         win = self
@@ -310,43 +267,88 @@ class Window:
     def is_ancestor_of(self, other: "Window") -> bool:
         return any(anc is self for anc in other.ancestors())
 
-    def descendants(self) -> Iterator["Window"]:
-        """All windows below this one, depth-first, bottom-up stacking."""
-        for child in self.children:
-            yield child
-            yield from child.descendants()
-
     # -- cache invalidation ------------------------------------------------
 
     def _invalidate_geometry(self) -> None:
+        """This window's box or place in the tree changed: restamp the
+        parent, or, on a root, drop its own key (every cached value in
+        the tree is derived from the root's)."""
         caches = self.caches
-        caches.geometry_clock += 1
         caches.geometry_invalidations += 1
         parent = self._parent
         if parent is None:
-            # Every clip in the tree is computed from the root's.
-            self._clip_key = -1
+            self._key = -1
             caches.region_invalidations += 1
         else:
             parent._child_changed(self)
 
-    def _invalidate_visibility(self) -> None:
-        caches = self.caches
-        caches.visibility_clock += 1
-        caches.visibility_invalidations += 1
-
     def _child_changed(self, child: "Window") -> None:
         """*child*'s box changed, or it was added to, removed from or
-        moved within this window's children: every child's clip may
-        read that, the stacking index only if *child* is mapped."""
+        moved within this window's children: every child's cached
+        values may read that, the stacking index only if *child* is
+        mapped."""
         self._restamp()
         if child._mapped:
             self._drop_index()
 
     def _restamp(self) -> None:
-        """Mint a new child-list stamp: every child's clip is stale."""
+        """Mint a new child-list stamp: every child's key is stale."""
         self._child_stamp = _next_stamp()
         self.caches.region_invalidations += 1
+
+    def _validate(self) -> None:
+        """Make the root origin of every window from the root down to
+        this one valid under its parent's current stamp.
+
+        Walks up while each key matches; from the first stale window
+        down it recomputes the origin, forgets the clip and mints the
+        window's own stamp, which makes the next window's key stale in
+        turn.  Each window on the way counts one geometry hit or
+        miss."""
+        node = self
+        parent = node._parent
+        depth = 1
+        while parent is not None and node._key == parent._child_stamp:
+            node = parent
+            parent = node._parent
+            depth += 1
+        caches = self.caches
+        if parent is None and node._key == _ROOT_KEY:
+            caches.geometry_hits += depth
+            return
+        chain: List[Window] = []
+        node = self
+        while node._parent is not None:
+            chain.append(node)
+            node = node._parent
+        if node._key == _ROOT_KEY:
+            hits, misses = 1, 0
+        else:
+            hits, misses = 0, 1
+            rect = node._rect
+            node._origin = Point(rect.x, rect.y)
+            node._key = _ROOT_KEY
+            node._clip = None
+            node._child_stamp = _next_stamp()
+        parent = node
+        for win in reversed(chain):
+            stamp = parent._child_stamp
+            if win._key == stamp:
+                hits += 1
+            else:
+                misses += 1
+                origin = parent._origin
+                bw = parent._border_width
+                rect = win._rect
+                win._origin = Point(
+                    origin.x + bw + rect.x, origin.y + bw + rect.y
+                )
+                win._key = stamp
+                win._clip = None
+                win._child_stamp = _next_stamp()
+            parent = win
+        caches.geometry_hits += hits
+        caches.geometry_misses += misses
 
     def _drop_index(self) -> None:
         if self._index is not None:
@@ -366,7 +368,6 @@ class Window:
     def shape(self, value: Optional["ShapeRegion"]) -> None:
         if value is not self._shape:
             self._shape = value
-            self._invalidate_visibility()
             if self._parent is not None:
                 self._parent._restamp()
 
@@ -407,31 +408,10 @@ class Window:
         return self._rect.height
 
     def position_in_root(self) -> Point:
-        """The window's origin in root coordinates (inside the border).
-
-        Cached: a repeat call with no intervening geometry change
-        anywhere in the tree is O(1); after a change, the first call
-        revalidates through the parent chain (validating ancestors as a
-        side effect, so sibling queries are O(1) again)."""
-        caches = self.caches
-        clock = caches.geometry_clock
-        if self._origin_stamp == clock:
-            caches.geometry_hits += 1
-            return self._origin
-        caches.geometry_misses += 1
-        parent = self._parent
-        rect = self._rect
-        if parent is None:
-            origin = Point(rect.x, rect.y)
-        else:
-            parent_origin = parent.position_in_root()
-            bw = parent._border_width
-            origin = Point(
-                parent_origin.x + bw + rect.x, parent_origin.y + bw + rect.y
-            )
-        self._origin = origin
-        self._origin_stamp = clock
-        return origin
+        """The window's origin in root coordinates (inside the border),
+        cached under the parent's stamp (see :meth:`_validate`)."""
+        self._validate()
+        return self._origin
 
     def rect_in_root(self) -> Rect:
         origin = self.position_in_root()
@@ -468,7 +448,6 @@ class Window:
     def mapped(self, value: bool) -> None:
         if value != self._mapped:
             self._mapped = value
-            self._invalidate_visibility()
             parent = self._parent
             if parent is not None:
                 parent._restamp()
@@ -476,20 +455,14 @@ class Window:
 
     @property
     def viewable(self) -> bool:
-        """Mapped, with every ancestor mapped too (cached, validated
-        against the tree's visibility clock)."""
-        caches = self.caches
-        clock = caches.visibility_clock
-        if self._viewable_stamp == clock:
-            caches.visibility_hits += 1
-            return self._viewable
-        caches.visibility_misses += 1
-        result = self._mapped and (
-            self._parent is None or self._parent.viewable
-        )
-        self._viewable = result
-        self._viewable_stamp = clock
-        return result
+        """Mapped, with every ancestor mapped too (not cached: the walk
+        up stops at the first unmapped window)."""
+        win: Optional[Window] = self
+        while win._mapped:
+            win = win._parent
+            if win is None:
+                return True
+        return False
 
     @property
     def map_state(self) -> int:
@@ -595,8 +568,8 @@ class Window:
             if x1 <= local_x < x2 and y1 <= local_y < y2:
                 shape = child._shape
                 if shape is not None:
-                    origin = child.position_in_root()
-                    if not shape.contains(x - origin.x, y - origin.y):
+                    rect = child._rect
+                    if not shape.contains(local_x - rect.x, local_y - rect.y):
                         continue
                 return child
         return None
@@ -615,63 +588,45 @@ class Window:
         An unmapped window, or one under an unviewable ancestor, has an
         empty region.  A window's own children are *not* subtracted.
 
-        Cached per window under a key: the parent's child-list stamp,
-        which changes with the parent's own clip too.  A lookup walks up
-        to the root, then down again, recomputing only the windows whose
-        key no longer matches (iteratively — fuzzer-built trees can be
-        deeper than the Python recursion limit).  Each window on the way
-        counts one region hit or one miss."""
-        # Up: while every key still matches, nothing is recomputed and
-        # nothing needs remembering.
-        node = self
-        parent = node._parent
-        depth = 1
-        while parent is not None and node._clip_key == parent._child_stamp:
-            node = parent
-            parent = node._parent
-            depth += 1
+        Cached per window under the same key as the root origin (see
+        :meth:`_validate`).  After validating the chain, a lookup
+        computes the clips it forgot, top-down from the nearest
+        ancestor that still holds one; each clip computed counts one
+        region miss, a clip found counts one hit."""
+        self._validate()
         caches = self.caches
-        if parent is None and node._clip_key == _ROOT_KEY:
-            caches.region_hits += depth
-            return self._clip
-        # Something on the way is stale: up to the root, then down,
-        # recomputing from the first stale key on.
-        chain: List[Window] = []
-        node = self
-        while node._parent is not None:
+        clip = self._clip
+        if clip is not None:
+            caches.region_hits += 1
+            return clip
+        # A window's clip is forgotten only with its descendants' (it
+        # mints its stamp when it does), so the windows missing a clip
+        # are the bottom of the chain.
+        chain = [self]
+        node = self._parent
+        while node is not None and node._clip is None:
             chain.append(node)
             node = node._parent
-        hits = misses = 0
-        if node._clip_key == _ROOT_KEY:
-            hits += 1
+        if node is None:
+            root = chain.pop()
+            origin = root._origin
+            clip = root._clip = Region.from_rect(
+                Rect(origin.x, origin.y, root._rect.width, root._rect.height)
+            )
+            caches.region_misses += 1
         else:
-            misses += 1
-            node._clip = Region.from_rect(node.rect_in_root())
-            node._clip_key = _ROOT_KEY
-            node._child_stamp = _next_stamp()
-        region = node._clip
-        stamp = node._child_stamp
+            clip = node._clip
         for win in reversed(chain):
-            if win._clip_key == stamp:
-                hits += 1
-                region = win._clip
-            else:
-                misses += 1
-                region = win._compute_clip(region)
-                win._clip = region
-                win._clip_key = stamp
-                win._child_stamp = _next_stamp()
-            stamp = win._child_stamp
-        caches.region_hits += hits
-        caches.region_misses += misses
-        return region
+            clip = win._clip = win._compute_clip(clip)
+        caches.region_misses += len(chain)
+        return clip
 
     def _compute_clip(self, parent_clip: Region) -> Region:
         """One level of the top-down clip computation (non-root)."""
         if not self._mapped or parent_clip.empty:
             return Region.EMPTY
         parent = self._parent
-        parent_origin = parent.position_in_root()
+        parent_origin = parent._origin
         dx = parent_origin.x + parent._border_width
         dy = parent_origin.y + parent._border_width
         # The window's box, in the parent's interior coordinates, as the

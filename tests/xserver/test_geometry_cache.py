@@ -1,7 +1,8 @@
 """Cache invalidation for the server's hot-path caches.
 
-The window tree memoises root origins, viewability, event-interest, and
-per-parent stacking indexes (see ``repro.xserver.window``).  These tests
+The window tree memoises root origins, clip regions, event-interest,
+and per-parent stacking indexes (see ``repro.xserver.window``);
+viewability is walked, not cached.  These tests
 drive every invalidation edge — pan-style configure, border change,
 reparent, restack, map/unmap, destroy-subwindows, selection change,
 client close — and assert the caches serve *fresh* answers afterwards,
@@ -284,7 +285,7 @@ class TestCacheCounters:
     def test_counters_in_snapshot(self, server, conn):
         snapshot = server.stats().snapshot()
         assert set(snapshot["caches"]) == {
-            "geometry", "visibility", "stacking_index", "interest", "region"
+            "geometry", "stacking_index", "interest", "region"
         }
 
     def test_hits_accumulate_and_invalidations_count(self, server, conn):
