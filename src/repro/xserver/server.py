@@ -673,15 +673,30 @@ class XServer:
         self._settle_pointer()
 
     def _destroy_tree(self, window: Window) -> None:
+        """Destroy *window* and everything below it, children before
+        their parent and siblings in ``list(children)`` order, taken
+        when the walk reaches the parent.  Iterative: a client can nest
+        windows deeper than the recursion limit within its quota."""
         # Re-entrancy: a DestroyNotify handler (the WM runs
         # synchronously in-process) may react by destroying related
         # windows — including ones this very walk is about to visit.
         if window.destroyed:
             return
-        for child in list(window.children):
-            self._destroy_tree(child)
-        if window.destroyed:
-            return  # a notify handler destroyed us during the walk
+        stack = [(window, iter(list(window.children)))]
+        while stack:
+            top, children = stack[-1]
+            for child in children:
+                if not child.destroyed:
+                    stack.append((child, iter(list(child.children))))
+                    break
+            else:
+                stack.pop()
+                # A notify handler may have destroyed it during the walk.
+                if not top.destroyed:
+                    self._destroy_window(top)
+
+    def _destroy_window(self, window: Window) -> None:
+        """Destroy one window whose children are already gone."""
         if window.mapped:
             self._do_unmap(window)
         window.destroyed = True
