@@ -2,13 +2,13 @@
 
 Not a paper claim: an implementation benchmark for this repo's simulated
 X server.  The per-event hot paths (pointer hit-testing, coordinate
-translation, configure fan-out) are memoised against tree-wide clocks
+translation, configure fan-out) are memoised under per-parent stamps
 (see ``repro.xserver.window``); these cases pin the two properties the
 caches buy us:
 
 - **flatness** — on a steady-state motion sweep the *cache* work stays
   flat as the root fills with 0..32 top-level windows: cached root
-  origins and viewability revalidate zero times per sweep (the
+  origins revalidate zero times per sweep (the
   counter-level guard below), so the hit test costs O(depth of the
   window under the pointer) plus a single scan of the parent's
   bounding-box index — cheap tuple compares — rather than re-deriving
