@@ -609,10 +609,7 @@ class Window:
             node = node._parent
         if node is None:
             root = chain.pop()
-            origin = root._origin
-            clip = root._clip = Region.from_rect(
-                Rect(origin.x, origin.y, root._rect.width, root._rect.height)
-            )
+            clip = root._clip = Region.from_rect(root._rect)
             caches.region_misses += 1
         else:
             clip = node._clip
