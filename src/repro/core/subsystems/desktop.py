@@ -159,7 +159,7 @@ class DesktopController(Subsystem):
         )
         self.update_panner(sc)
         if not managed.is_internal:
-            self.wm.note_session_change(managed)
+            self.wm.note_session_change()
 
     def warp_to_managed(self, managed: "ManagedWindow") -> None:
         """Warp the pointer to a window, panning the desktop so it is
@@ -192,7 +192,7 @@ class DesktopController(Subsystem):
         self.set_swm_root(managed)
         self.update_panner(sc)
         if not managed.is_internal:
-            self.wm.note_session_change(managed)
+            self.wm.note_session_change()
 
     def unstick(self, managed: "ManagedWindow") -> None:
         if not managed.sticky:
@@ -207,7 +207,7 @@ class DesktopController(Subsystem):
         self.set_swm_root(managed)
         self.update_panner(sc)
         if not managed.is_internal:
-            self.wm.note_session_change(managed)
+            self.wm.note_session_change()
 
     def reparent_frame(
         self, managed: "ManagedWindow", parent: int, x: int, y: int

@@ -103,7 +103,7 @@ class IconifyController(Subsystem):
         )
         self.wm.desktop.update_panner(sc)
         if not managed.is_internal:
-            self.wm.note_session_change(managed)
+            self.wm.note_session_change()
 
     def deiconify(self, managed: "ManagedWindow") -> None:
         if managed.state != ICONIC_STATE:
@@ -119,7 +119,7 @@ class IconifyController(Subsystem):
         )
         self.wm.desktop.update_panner(sc)
         if not managed.is_internal:
-            self.wm.note_session_change(managed)
+            self.wm.note_session_change()
 
     # ------------------------------------------------------------------
     # Icon construction / teardown

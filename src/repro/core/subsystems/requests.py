@@ -198,11 +198,12 @@ class RedirectController(Subsystem):
                 or managed.size_hints
             )
         elif atom_name == "WM_HINTS":
-            wm.session.forget(managed)  # the icon position may move
             managed.wm_hints = (
                 self.guarded(icccm.get_wm_hints, self.conn, managed.client)
                 or managed.wm_hints
             )
+            if not managed.is_internal:
+                wm.note_session_change()  # the icon hint may have moved
         elif atom_name in ("WM_COMMAND", "WM_CLIENT_MACHINE"):
             # How the client restarts: the model and the checkpoint
             # follow.
@@ -215,7 +216,7 @@ class RedirectController(Subsystem):
                     icccm.get_wm_client_machine, self.conn, managed.client
                 )
             if not managed.is_internal:
-                wm.note_session_change(managed)
+                wm.note_session_change()
         return True
 
     def _handle_swmcmd(self, sc: "ScreenContext") -> None:

@@ -3,8 +3,10 @@
 Owns the swmhints restart table (read from the SWM_RESTART_INFO root
 property before adopting clients), the matching of new clients against
 restart records, f.places script generation, the debounced checkpoint
-autosave, cold-start adoption of a dead predecessor's leftovers, and
-the f.quit/f.restart lifecycle transitions.
+autosave (which formats again only the clients whose restart inputs
+changed since the last checkpoint), cold-start adoption of a dead
+predecessor's leftovers, and the f.quit/f.restart lifecycle
+transitions.
 """
 
 from __future__ import annotations
@@ -15,28 +17,17 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ... import icccm
 from ...icccm.hints import ICONIC_STATE, WITHDRAWN_STATE
-from ...xserver import events as ev
-from ...xserver.errors import XError
-from . import PRI_OBSERVER, Subsystem
+from . import Subsystem
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ...session.places import RestartInputs
     from ...xserver.window import Window
-    from ..managed import ManagedWindow
     from ..wm import ScreenContext
 
 #: Root property carrying swmhints session-restart records (§7).
 RESTART_PROPERTY = "SWM_RESTART_INFO"
 
 logger = logging.getLogger("repro.swm")
-
-#: Structure events that can change what a checkpoint entry records,
-#: and the field naming the window they concern.
-_STRUCTURE_SUBJECTS = {
-    ev.ConfigureNotify: "configured_window",
-    ev.ReparentNotify: "reparented_window",
-    ev.MapNotify: "mapped_window",
-    ev.UnmapNotify: "unmapped_window",
-}
 
 
 @dataclass
@@ -86,19 +77,13 @@ class RestartController(Subsystem):
         self._dirty = False
         self._tick = 0
         self._save_due = 0
-        #: The checkpoint's entry cache: client -> (its record, its two
-        #: f.places lines, or () when it has no WM_COMMAND).
+        #: The last checkpoint's entries: client -> ((the remoteStart
+        #: template, its restart inputs), its two f.places lines).
         self._entries: Dict[
-            int, Tuple["ManagedWindow", Tuple[str, ...]]
+            int, Tuple[Tuple[str, "RestartInputs"], Tuple[str, str]]
         ] = {}
         #: The text of the last checkpoint this controller wrote.
         self._saved_text: Optional[str] = None
-
-    def event_handlers(self):
-        return tuple(
-            (event_cls, PRI_OBSERVER, self._on_structure_notify)
-            for event_cls in _STRUCTURE_SUBJECTS
-        )
 
     def load_restart_table(self, root: int) -> None:
         """Read swmhints restart records before adopting clients (§7)."""
@@ -183,16 +168,15 @@ class RestartController(Subsystem):
     # Debounced checkpoint autosave
     # ------------------------------------------------------------------
 
-    def mark_dirty(self, managed: Optional["ManagedWindow"] = None) -> None:
-        """A geometry/state change of *managed* (of anything, when None)
-        happened; drop its checkpoint entry and schedule a checkpoint.
+    def mark_dirty(self) -> None:
+        """Something a checkpoint records may have changed: schedule
+        one.
 
         The deadline is pinned at the *first* change after a save —
         continuous churn cannot push it out, so the bounded-staleness
         guarantee holds even under a busy pointer."""
         if self.wm.session_store is None:
             return
-        self.forget(managed)
         if not self._dirty:
             self._dirty = True
             self._save_due = self._tick + self.AUTOSAVE_DEBOUNCE
@@ -229,69 +213,28 @@ class RestartController(Subsystem):
         return True
 
     def checkpoint_text(self) -> str:
-        """The f.places text of the session now, re-snapshotting only
-        the clients whose cached entry was dropped.
+        """The f.places text of the session now.
 
-        Equal to ``format_places(collect_entries(wm))``, the uncached
-        reference.  An iconic client is never cached: the icon holder
-        repacks its icon without telling the WM.  A cached client whose
-        window died behind the WM's back (its DestroyNotify lost) is
-        snapshotted again, which skips it as the reference does."""
+        Equal to ``format_places(collect_entries(wm))``, the reference:
+        every client's restart inputs are read again, and a client whose
+        inputs and remoteStart template equal the last checkpoint's
+        keeps the lines formatted then.  Only the clients of this
+        checkpoint are kept, so an unmanaged client drops out."""
         from ...session import places
 
-        wm = self.wm
-        template = places.remote_start_template(wm)
-        cached, self._entries = self._entries, {}
-        windows = self.server.windows
+        template = places.remote_start_template(self.wm)
+        memo, self._entries = self._entries, {}
         lines: List[str] = []
-        for managed in list(wm.managed.values()):
-            if managed.is_internal:
-                continue
-            cacheable = managed.state != ICONIC_STATE and managed.icon is None
-            hit = cached.get(managed.client)
-            if (
-                cacheable
-                and hit is not None
-                and hit[0] is managed
-                and _alive(windows.get(managed.client))
-                and _alive(windows.get(managed.frame))
-            ):
+        for managed, inputs in places.client_inputs(self.wm):
+            key = (template, inputs)
+            hit = memo.get(managed.client)
+            if hit is not None and hit[0] == key:
                 entry_lines = hit[1]
             else:
-                try:
-                    entry = places._snapshot_one(
-                        wm, managed, places.DISPLAY, template
-                    )
-                except XError as err:
-                    wm._note_guarded(err, "places")
-                    continue
-                entry_lines = entry.lines() if entry is not None else ()
-            if cacheable:
-                self._entries[managed.client] = (managed, entry_lines)
+                entry_lines = places.format_entry(inputs, template).lines()
+            self._entries[managed.client] = (key, entry_lines)
             lines.extend(entry_lines)
         return places.places_script(lines)
-
-    def forget(self, managed: Optional["ManagedWindow"]) -> None:
-        """Drop *managed*'s cached checkpoint entry (every entry, when
-        None); the next checkpoint snapshots it again."""
-        if managed is None:
-            self._entries.clear()
-        else:
-            self._entries.pop(managed.client, None)
-
-    def _on_structure_notify(self, event: ev.Event) -> bool:
-        """The server moved, resized, mapped, unmapped or reparented a
-        client's frame or window: drop its entry.  WM handlers run
-        inside the request that triggered them, so an autosave can fire
-        between a frame move and the ``note_session_change`` after it;
-        this observer runs ahead of every handler and consumes
-        nothing."""
-        if self._entries:
-            wid = getattr(event, _STRUCTURE_SUBJECTS[type(event)])
-            managed = self.wm.managed.get(wid) or self.wm.frames.get(wid)
-            if managed is not None:
-                self._entries.pop(managed.client, None)
-        return False
 
     # ------------------------------------------------------------------
     # Cold-start adoption (ICCCM §4.1.3.1)
@@ -493,7 +436,3 @@ class RestartController(Subsystem):
                     result["ok"] for result in results
                 ):
                     wm._resync(managed)  # a batched configure failed
-
-
-def _alive(window: Optional["Window"]) -> bool:
-    return window is not None and not window.destroyed

@@ -414,13 +414,10 @@ class Swm:
         self.server.stats().inc("guarded", err.name)
         logger.debug("guarded %s in %s: %s", err.name, where, err)
 
-    def note_session_change(
-        self, managed: Optional[ManagedWindow] = None
-    ) -> None:
-        """A geometry/state change of *managed* worth checkpointing
-        happened; the restart controller drops its cached entry (every
-        entry, when None) and schedules a debounced autosave."""
-        self.session.mark_dirty(managed)
+    def note_session_change(self) -> None:
+        """A change worth checkpointing happened: the restart controller
+        schedules a debounced autosave."""
+        self.session.mark_dirty()
 
     def reap_zombies(self) -> int:
         """Repair bookkeeping that points at windows which vanished
@@ -733,7 +730,7 @@ class Swm:
             self.send_to_desktop(managed, restart_entry["desktop"])
         self.desktop.update_panner(sc)
         if not internal:
-            self.note_session_change(managed)
+            self.note_session_change()
         return managed
 
     def unmanage(self, managed: ManagedWindow, destroyed: bool = False) -> None:
@@ -792,7 +789,7 @@ class Swm:
         self.focuser.pending_deletes.pop(managed.client, None)
         self.desktop.update_panner(sc)
         if not managed.is_internal:
-            self.note_session_change(managed)
+            self.note_session_change()
 
     def _reap_partial_manage(self, client: int, frame: Optional[int]) -> None:
         """A manage() aborted part-way (injected error, client died
@@ -997,7 +994,7 @@ class Swm:
         self._send_synthetic_configure(managed)
         self.desktop.update_panner(self.screens[managed.screen])
         if not managed.is_internal:
-            self.note_session_change(managed)
+            self.note_session_change()
 
     def _send_synthetic_configure(self, managed: ManagedWindow) -> None:
         """ICCCM: after the WM moves a client, send it a synthetic

@@ -442,14 +442,14 @@ class DisplayRouter:
         """Fresh restart record for one live client — read from the
         managed window itself, falling back to the last checkpoint if
         the WM is mid-restart."""
-        from .places import _snapshot_one
+        from .places import format_entry, restart_inputs
 
         wm = source.wm
         managed = wm.managed.get(rec.wid) if wm is not None else None
         if managed is not None:
-            entry = _snapshot_one(wm, managed, "localhost:0.0", "")
-            if entry is not None:
-                return entry.hints
+            inputs = restart_inputs(wm, managed)
+            if inputs is not None:
+                return format_entry(inputs, "").hints
         return self._take_hints(
             self._checkpoint_hints(source), rec.command
         )

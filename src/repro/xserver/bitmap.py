@@ -11,31 +11,35 @@ from __future__ import annotations
 
 import re
 from math import isqrt
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 #: Each byte value to its truth, so a row of any bytes reads as 0/1.
 _TRUTH = bytes([0]) + bytes([1]) * 255
 
 
 class Bitmap:
-    """A 1-bit-deep image.  ``rows[y]`` is a :class:`bytes` of *width*
-    pixels, each 0 or 1: ``bytes.find`` locates runs in C, and a row is
-    immutable, so equal rows may be one object, in one bitmap or
-    several.  The constructor takes rows of any truth values."""
+    """A 1-bit-deep image.  ``rows`` is a tuple of *height* rows, each a
+    :class:`bytes` of *width* pixels, 0 or 1: ``bytes.find`` locates
+    runs in C.  A bitmap is immutable, so equal rows may be one object,
+    and a bitmap handed to the server (a SHAPE mask) may be shared with
+    the client that built it.  The constructor takes rows of any truth
+    values."""
 
     def __init__(self, width: int, height: int, rows: Sequence[Sequence[int]]):
         if len(rows) != height or any(len(row) != width for row in rows):
             raise ValueError("bitmap rows do not match declared size")
         self.width = width
         self.height = height
-        self.rows: List[bytes] = [
+        self.rows: Tuple[bytes, ...] = tuple(
             bytes(row).translate(_TRUTH)
             if isinstance(row, (bytes, bytearray)) else bytes(map(bool, row))
             for row in rows
-        ]
+        )
 
     @classmethod
-    def _of_rows(cls, width: int, height: int, rows: List[bytes]) -> "Bitmap":
+    def _of_rows(
+        cls, width: int, height: int, rows: Tuple[bytes, ...]
+    ) -> "Bitmap":
         """Adopt *rows*, already *height* byte rows of *width* 0/1
         pixels, without checking or copying them."""
         bitmap = cls.__new__(cls)
@@ -49,7 +53,7 @@ class Bitmap:
     @classmethod
     def solid(cls, width: int, height: int, value: bool = True) -> "Bitmap":
         return cls._of_rows(width, height,
-                            [(b"\1" if value else b"\0") * width] * height)
+                            ((b"\1" if value else b"\0") * width,) * height)
 
     @classmethod
     def from_strings(cls, art: Sequence[str], on: str = "#") -> "Bitmap":
@@ -80,7 +84,7 @@ class Bitmap:
         for y in range(d):
             lo = (d - isqrt(d * d - (2 * y - d + 1) ** 2)) // 2
             rows.append(b"\0" * lo + b"\1" * (d - 2 * lo) + b"\0" * lo)
-        return cls._of_rows(d, d, rows)
+        return cls._of_rows(d, d, tuple(rows))
 
     # -- queries -----------------------------------------------------------
 
@@ -88,11 +92,6 @@ class Bitmap:
         if not (0 <= x < self.width and 0 <= y < self.height):
             return False
         return self.rows[y][x] == 1
-
-    def set(self, x: int, y: int, value: bool = True) -> None:
-        row = bytearray(self.rows[y])
-        row[x] = 1 if value else 0
-        self.rows[y] = bytes(row)
 
     def count_set(self) -> int:
         return sum(row.count(1) for row in self.rows)

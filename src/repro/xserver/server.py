@@ -1425,20 +1425,6 @@ class XServer:
         if old is new:
             return
         state = self.pointer.state_mask(self.keyboard.modifier_mask())
-
-        def make(cls, window: Window, detail: int):
-            origin = window.position_in_root()
-            return cls(
-                window=window.id,
-                root=window.root().id,
-                x=self.pointer.x - origin.x,
-                y=self.pointer.y - origin.y,
-                x_root=self.pointer.x,
-                y_root=self.pointer.y,
-                state=state,
-                detail=detail,
-            )
-
         # The interest cache makes "does anyone care" O(1); skip the
         # event construction entirely when nothing selects crossings.
         if (
@@ -1453,7 +1439,10 @@ class XServer:
                 elif new.is_ancestor_of(old):
                     detail = ev.NOTIFY_ANCESTOR
             self._deliver(
-                old, make(ev.LeaveNotify, old, detail), EventMask.LeaveWindow
+                old,
+                self._device_event(ev.LeaveNotify, old, state=state,
+                                   detail=detail),
+                EventMask.LeaveWindow,
             )
         if new is not None and new.clients_selecting(EventMask.EnterWindow):
             detail = ev.NOTIFY_NONLINEAR
@@ -1463,7 +1452,10 @@ class XServer:
                 elif old.is_ancestor_of(new):
                     detail = ev.NOTIFY_ANCESTOR
             self._deliver(
-                new, make(ev.EnterNotify, new, detail), EventMask.EnterWindow
+                new,
+                self._device_event(ev.EnterNotify, new, state=state,
+                                   detail=detail),
+                EventMask.EnterWindow,
             )
 
     def warp_pointer(
@@ -1586,21 +1578,14 @@ class XServer:
         source = pointer.window or self.screens[pointer.screen].root
         grab = self.active_grab
 
+        fields = (
+            {"button": button} if cls in (ev.ButtonPress, ev.ButtonRelease)
+            else {}
+        )
+
         def build(window: Window, child: int) -> ev.Event:
-            origin = window.position_in_root()
-            kwargs = dict(
-                window=window.id,
-                root=window.root().id,
-                subwindow=child,
-                x=pointer.x - origin.x,
-                y=pointer.y - origin.y,
-                x_root=pointer.x,
-                y_root=pointer.y,
-                state=state,
-            )
-            if cls in (ev.ButtonPress, ev.ButtonRelease):
-                kwargs["button"] = button
-            return cls(**kwargs)
+            return self._device_event(cls, window, subwindow=child,
+                                      state=state, **fields)
 
         if grab is not None:
             # Owner-events: deliver normally if some window of the
@@ -1653,19 +1638,10 @@ class XServer:
         ):
             grab = self.grabs.find_key_grab(self._pointer_chain(), keysym, state)
             if grab is not None:
-                origin = grab.window.position_in_root()
                 self._deliver_to_client(
                     grab.client,
-                    cls(
-                        window=grab.window.id,
-                        root=grab.window.root().id,
-                        x=self.pointer.x - origin.x,
-                        y=self.pointer.y - origin.y,
-                        x_root=self.pointer.x,
-                        y_root=self.pointer.y,
-                        state=state,
-                        keysym=keysym,
-                    ),
+                    self._device_event(cls, grab.window, state=state,
+                                       keysym=keysym),
                 )
                 return
         # Normal delivery: to the focus window, or pointer window under
@@ -1688,21 +1664,28 @@ class XServer:
         target, child = self._propagation_target(source, mask, None)
         if target is None:
             return
-        origin = target.position_in_root()
         self._deliver(
             target,
-            cls(
-                window=target.id,
-                root=target.root().id,
-                subwindow=child,
-                x=self.pointer.x - origin.x,
-                y=self.pointer.y - origin.y,
-                x_root=self.pointer.x,
-                y_root=self.pointer.y,
-                state=state,
-                keysym=keysym,
-            ),
+            self._device_event(cls, target, subwindow=child, state=state,
+                               keysym=keysym),
             mask,
+        )
+
+    def _device_event(self, cls, window: Window, **fields) -> ev.Event:
+        """A pointer, button, key or crossing event of *cls* reported on
+        *window*: its window, root and pointer position filled in (in
+        *window*'s coordinates and the root's), the rest from
+        *fields*."""
+        pointer = self.pointer
+        origin = window.position_in_root()
+        return cls(
+            window=window.id,
+            root=window.root().id,
+            x=pointer.x - origin.x,
+            y=pointer.y - origin.y,
+            x_root=pointer.x,
+            y_root=pointer.y,
+            **fields,
         )
 
     # ------------------------------------------------------------------

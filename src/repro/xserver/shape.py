@@ -83,7 +83,7 @@ def region_bitmap(region: Region, width: int, height: int) -> Bitmap:
         rows += [bytes(row)] * (y2 - y1)
         y = y2
     rows += [blank] * (height - y)
-    return Bitmap._of_rows(width, height, rows)
+    return Bitmap._of_rows(width, height, tuple(rows))
 
 
 class ShapeRegion:

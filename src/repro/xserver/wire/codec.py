@@ -376,8 +376,8 @@ def _decode_bitmap(buf: bytes, pos: int) -> Tuple[Bitmap, int]:
     value = int.from_bytes(buf[pos:pos + nbytes], "little")
     digits = format(value, f"0{nbytes * 8}b").encode()
     bits = digits[::-1].translate(_DIGITS_TO_BITS)
-    rows = [bits[start:start + width]
-            for start in range(0, width * height, width)]
+    rows = tuple(bits[start:start + width]
+                 for start in range(0, width * height, width))
     return Bitmap._of_rows(width, height, rows), pos + nbytes
 
 

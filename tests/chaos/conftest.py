@@ -36,7 +36,7 @@ def chaos_seed(request) -> int:
 @pytest.fixture
 def checkpoint_oracle(monkeypatch):
     """Check every checkpoint the restart controller builds from its
-    entry cache against a fresh snapshot of every client,
+    memo of formatted entries against a fresh snapshot of every client,
     ``format_places(collect_entries(wm))``.  Yields the checked texts."""
     checked = []
     cached_text = RestartController.checkpoint_text
@@ -44,7 +44,7 @@ def checkpoint_oracle(monkeypatch):
     def checkpoint_text(controller):
         text = cached_text(controller)
         assert text == format_places(collect_entries(controller.wm)), (
-            "the checkpoint entry cache drifted from the live session"
+            "the checkpoint memo drifted from the live session"
         )
         checked.append(text)
         return text

@@ -116,14 +116,11 @@ class TestAppCreation:
         app = XEyes(server, ["xeyes", "-geometry", size])
         width, height = map(int, size.split("x"))
         eye = Bitmap.disc(height)
-        expected = Bitmap.solid(width, height, False)
-        for y in range(height):
-            for x in range(height):
-                if eye.get(x, y):
-                    expected.set(x, y, True)
-                    far_x = width - height + x
-                    if 0 <= far_x < width:
-                        expected.set(far_x, y, True)
+        far = width - height
+        expected = Bitmap(width, height, [
+            [eye.get(x, y) or eye.get(x - far, y) for x in range(width)]
+            for y in range(height)
+        ])
         shape = server.shape_query(app.wid)
         assert (shape.mask, shape.x_offset, shape.y_offset) == (expected, 0, 0)
 

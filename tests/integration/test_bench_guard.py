@@ -120,14 +120,15 @@ def perfbench_line(correct=True, **values):
     }})
 
 
-def record_args(tmp_path, parent, change, append=""):
+def record_args(tmp_path, parent, change, append="",
+                claim="stack_churn:void_p50_us"):
     (tmp_path / "parent.jsonl").write_text("\n".join(parent) + "\n")
     (tmp_path / "change.jsonl").write_text("\n".join(change) + "\n")
     return Namespace(
         parent_runs=str(tmp_path / "parent.jsonl"),
         change_runs=str(tmp_path / "change.jsonl"),
         seeds=f"1-{len(parent)}",
-        claim="stack_churn:void_p50_us",
+        claim=claim,
         change="synthetic change",
         parent_commit="abc1234",
         benchmark=str(ROOT / "BENCHMARK.json"),
@@ -202,3 +203,33 @@ class TestRecord:
         with pytest.raises(bench_guard.GuardError) as excinfo:
             bench_guard.cmd_record(args)
         assert excinfo.value.code == bench_guard.EXIT_BAD_INPUT
+
+
+class TestRecordWithoutClaim:
+    """Without ``--claim``, `record` judges a change that claims no
+    gain: each metric against its bound and each run's correctness."""
+
+    def test_within_bounds_passes(self, tmp_path):
+        # ops_per_s -20% is inside its 25% bound.
+        parent = [perfbench_line() for _ in range(10)]
+        change = [perfbench_line(ops_per_s=80.0) for _ in range(10)]
+        args = record_args(tmp_path, parent, change, claim="")
+        assert bench_guard.cmd_record(args) == 0
+
+    def test_one_metric_past_its_bound_fails(self, tmp_path):
+        # peak_rss_mb's bound is 10%.
+        parent = [perfbench_line() for _ in range(10)]
+        change = [perfbench_line(peak_rss_mb=112.0) for _ in range(10)]
+        args = record_args(tmp_path, parent, change, claim="")
+        assert bench_guard.cmd_record(args) == bench_guard.EXIT_REGRESSION
+
+    def test_append_is_refused(self, tmp_path):
+        parent = [perfbench_line() for _ in range(10)]
+        record = tmp_path / "BENCH_perfbench.json"
+        record.write_text(json.dumps({"about": "x", "rows": []}))
+        args = record_args(tmp_path, parent, parent, claim="",
+                           append=str(record))
+        with pytest.raises(bench_guard.GuardError) as excinfo:
+            bench_guard.cmd_record(args)
+        assert excinfo.value.code == bench_guard.EXIT_BAD_INPUT
+        assert json.loads(record.read_text())["rows"] == []

@@ -1,8 +1,10 @@
-"""The autosave's entry cache: a checkpoint re-snapshots only the
-clients that changed since the last one, and its text always equals a
-fresh snapshot of every client, ``format_places(collect_entries(wm))``.
+"""The autosave's memo: a checkpoint formats only the clients whose
+restart inputs changed since the last one, and its text always equals
+a fresh snapshot of every client, ``format_places(collect_entries(wm))``.
+Nothing tells the memo about a change: it compares each client's
+inputs by value.
 
-The counts come from wrapping ``places._snapshot_one`` and
+The counts come from wrapping ``places.format_entry`` and
 ``SessionStore.save`` from the test, so ``src/`` carries no probe.
 """
 
@@ -66,16 +68,16 @@ def writes(monkeypatch):
 
 
 @pytest.fixture
-def snapshots(monkeypatch):
-    """Count calls of ``places._snapshot_one``."""
+def formats(monkeypatch):
+    """The restart inputs of each ``places.format_entry`` call."""
     calls = []
-    snapshot_one = places._snapshot_one
+    format_entry = places.format_entry
 
-    def counted(wm, managed, *args):
-        calls.append(managed.client)
-        return snapshot_one(wm, managed, *args)
+    def counted(inputs, template):
+        calls.append(inputs)
+        return format_entry(inputs, template)
 
-    monkeypatch.setattr(places, "_snapshot_one", counted)
+    monkeypatch.setattr(places, "format_entry", counted)
     return calls
 
 
@@ -98,53 +100,64 @@ def last_saved(wm):
     return wm.session_store.load().text
 
 
-def test_one_moved_window_is_snapshotted_once(server, wm, snapshots):
-    """After one window out of 8 moves, the next autosave snapshots that
-    window alone (a full re-snapshot would take 8)."""
+def test_one_moved_window_is_snapshotted_once(server, wm, formats):
+    """After one window out of 8 moves, the next autosave formats that
+    window's entry alone (a full snapshot would format 8)."""
     apps = launch_all(server, wm, PROGRAMS)
     assert wm.session.autosave()
-    assert len(snapshots) == len(apps)
+    assert len(formats) == len(apps)
 
-    del snapshots[:]
+    del formats[:]
     moved = wm.managed[apps[3].wid]
     wm.move_managed_to(moved, 1200, 900)
     assert wm.session.autosave()
-    assert snapshots == [moved.client]
+    assert formats == [places.restart_inputs(wm, moved)]
     assert last_saved(wm) == reference(wm)
     position = wm.client_desktop_position(moved)
     assert f"+{position.x}+{position.y}" in last_saved(wm)
 
 
-def test_note_without_a_window_drops_every_entry(server, wm, snapshots):
-    apps = launch_all(server, wm, PROGRAMS[:3])
+def test_a_note_that_changes_nothing_formats_no_entry(
+    server, wm, formats, writes
+):
+    """A change noted where nothing a checkpoint records moved costs a
+    comparison of inputs per client: no entry is formatted and no
+    generation is written."""
+    launch_all(server, wm, PROGRAMS[:3])
     assert wm.session.autosave()
-    del snapshots[:]
+    del formats[:]
+    written = len(writes.texts)
     wm.note_session_change()
     assert wm.session.autosave()
-    assert sorted(snapshots) == sorted(app.wid for app in apps)
+    assert formats == []
+    assert len(writes.texts) == written
 
 
-def test_client_configure_drops_its_entry(server, wm, snapshots):
-    """A client resizing itself is seen through its ConfigureNotify."""
+def test_client_configure_drops_its_entry(server, wm, formats):
+    """A client resizing itself reaches the next checkpoint through the
+    window model the WM updates when it grants the request; only its
+    entry is formatted again."""
     apps = launch_all(server, wm, PROGRAMS[:3])
     assert wm.session.autosave()
-    del snapshots[:]
+    del formats[:]
     apps[0].move_resize(500, 400, 300, 200)
     wm.process_pending()
     assert wm.session.autosave()
-    assert snapshots == [apps[0].wid]
+    assert formats == [places.restart_inputs(wm, wm.managed[apps[0].wid])]
     assert last_saved(wm) == reference(wm)
 
 
-def test_wm_hints_change_drops_its_entry(server, wm):
-    """A new icon position in WM_HINTS reaches the next checkpoint."""
+def test_a_wm_hints_change_is_checkpointed(server, wm):
+    """A new icon position in WM_HINTS schedules a checkpoint of its
+    own, which records it."""
     apps = launch_all(server, wm, PROGRAMS[:2])
     assert wm.session.autosave()
+    saves = wm.session_store.saves
     hints = WMHints(flags=ICON_POSITION_HINT, icon_x=640, icon_y=480)
     icccm.set_wm_hints(apps[0].conn, apps[0].wid, hints)
-    wm.process_pending()
-    wm.note_session_change(wm.managed[apps[1].wid])
-    assert wm.session.autosave()
+    for _ in range(wm.session.AUTOSAVE_DEBOUNCE + 2):
+        wm.process_pending()
+    assert wm.session_store.saves == saves + 1
     assert "-icongeometry +640+480" in last_saved(wm)
     assert last_saved(wm) == reference(wm)
 
@@ -153,12 +166,13 @@ def test_autosave_inside_a_frame_move_sees_the_move(server, wm):
     """WM handlers run inside the request that triggered them: with a
     checkpoint already due, ``move_managed_to`` autosaves from inside
     its own ``move_window``, before its ``note_session_change``.  The
-    frame's ConfigureNotify must have dropped the stale entry by then."""
+    window model holds the move before the request goes out, so that
+    checkpoint records it."""
     apps = launch_all(server, wm, PROGRAMS[:3])
     assert wm.session.autosave()
     saves = wm.session_store.saves
     session = wm.session
-    wm.note_session_change(wm.managed[apps[1].wid])
+    wm.note_session_change()
     while session._tick + 1 < session._save_due:
         wm.process_pending()
     assert wm.session_store.saves == saves  # due on the next pump
@@ -168,27 +182,37 @@ def test_autosave_inside_a_frame_move_sees_the_move(server, wm):
     assert last_saved(wm) == reference(wm)
 
 
-def test_icon_repack_is_checkpointed(server, wm):
-    """The icon holder repacks its icons without an event to the WM, so
-    iconic clients are snapshotted at every checkpoint."""
+def test_icon_repack_is_checkpointed(server, wm, formats):
+    """The icon holder repacks its icons without telling the WM; every
+    checkpoint reads where each icon sits, so the repack reaches the
+    next one."""
     apps = launch_all(server, wm, ["xterm", "xterm", "xterm"])
     for app in apps:
         wm.iconify(wm.managed[app.wid])
     wm.process_pending()
     assert wm.session.autosave()
+    before = [places.restart_inputs(wm, wm.managed[app.wid]).icon
+              for app in apps[1:]]
     # Leaving the holder repacks the icons after the first one.
+    del formats[:]
     wm.deiconify(wm.managed[apps[0].wid])
     wm.process_pending()
     assert wm.session.autosave()
+    after = [places.restart_inputs(wm, wm.managed[app.wid])
+             for app in apps]
+    assert [inputs.icon for inputs in after[1:]] != before
+    assert formats == after
     assert last_saved(wm) == reference(wm)
 
 
-def test_unmanaged_client_leaves_the_checkpoint(server, wm):
+def test_unmanaged_client_leaves_the_checkpoint(server, wm, formats):
     apps = launch_all(server, wm, PROGRAMS[:3])
     assert wm.session.autosave()
+    del formats[:]
     apps[1].quit()
     wm.process_pending()
     assert wm.session.autosave()
+    assert formats == []
     assert wm.session._entries.keys() == {apps[0].wid, apps[2].wid}
     assert last_saved(wm) == reference(wm)
 
@@ -208,7 +232,7 @@ def test_unchanged_session_writes_no_generation(server, wm, writes):
     assert wm.session.autosave()
     written = len(writes.texts)
     newest = wm.session_store.latest_generation()
-    wm.note_session_change()  # drops every entry, changes no line
+    wm.note_session_change()  # changes no line
     assert wm.session.autosave()
     assert len(writes.texts) == written
     assert wm.session_store.latest_generation() == newest

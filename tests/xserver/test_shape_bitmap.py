@@ -115,16 +115,14 @@ class TestBitmap:
                 diameter, diameter, disc_predicate(diameter)), diameter
 
     def test_rows_are_bytes_of_zero_and_one(self):
-        bitmap = Bitmap(3, 2, [[True, 0, 5], b"\x00\x07\x01"])
-        assert bitmap.rows == [b"\x01\x00\x01", b"\x00\x01\x01"]
+        source = bytearray(b"\x00\x07\x01")
+        bitmap = Bitmap(3, 2, [[True, 0, 5], source])
+        assert bitmap.rows == (b"\x01\x00\x01", b"\x00\x01\x01")
         assert all(type(row) is bytes for row in bitmap.rows)
         assert bitmap.get(2, 0) is True and bitmap.get(0, 1) is False
-        bitmap.set(0, 1)
-        bitmap.set(2, 1, False)
-        assert bitmap.rows[1] == b"\x01\x01\x00"
-        assert bitmap == Bitmap.from_strings(["#.#", "##."])
-        with pytest.raises(IndexError):
-            bitmap.set(3, 0)
+        assert bitmap == Bitmap.from_strings(["#.#", ".##"])
+        source[0] = 1  # the bitmap holds a copy of a mutable row
+        assert bitmap.rows[1] == b"\x00\x01\x01"
 
     def test_disc_is_roundish(self):
         disc = Bitmap.disc(16)
@@ -278,6 +276,19 @@ class TestShapedWindows:
         conn.shape_window(wid, Bitmap.disc(64))
         notifies = wm.flush_events(ev.ShapeNotify)
         assert notifies and notifies[0].shaped
+
+    def test_a_mask_cannot_change_behind_the_server(self, server, conn):
+        """On loopback the server keeps the client's own mask object.
+        Its rows are immutable, so a client cannot change the stored
+        mask with no request, away from the shape's pixels."""
+        wid = conn.create_window(conn.root_window(), 0, 0, 8, 8)
+        mask = Bitmap.disc(8)
+        conn.shape_window(wid, mask)
+        with pytest.raises(TypeError):
+            mask.rows[0] = b"\1" * 8
+        shape = server.shape_query(wid)
+        assert shape.mask == Bitmap.disc(8)
+        assert shape.area() == Bitmap.disc(8).count_set()
 
     def test_unshape(self, server, conn):
         wid = conn.create_window(conn.root_window(), 0, 0, 64, 64)

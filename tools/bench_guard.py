@@ -33,9 +33,14 @@ Four modes::
         --claim stack_churn:void_p50_us --change "what changed" \
         --parent-commit 0fa768f --append BENCH_perfbench.json
 
+    # Without --claim, ``record`` judges a change that claims no gain:
+    # every metric against its bound, and every run's correctness.  It
+    # prints the same table and appends nothing.
+
 Exit codes: 0 OK, 1 regression past tolerance (for ``record``: the
 claimed metric did not win, or another metric got worse past its
-bound), 2 malformed input,
+bound), 2 malformed input (for ``record``: also --append without
+--claim),
 3 missing baseline file (distinct, so CI can tell "perf regressed"
 from "nobody committed a baseline yet").
 
@@ -275,7 +280,15 @@ def cmd_record(args: argparse.Namespace) -> int:
     apart than the parent's IQR; every other change median may be worse
     than its parent median by at most the metric's bound; every run
     must report ``correct``.  The row is printed, and appended to
-    ``--append`` only when the verdict passes."""
+    ``--append`` only when the verdict passes.
+
+    Without a claim every metric is judged by its bound alone, and
+    ``--append`` is refused: the record holds rows of performance
+    changes only."""
+    if not args.claim and args.append:
+        raise GuardError("error: --append needs --claim: the record"
+                         " holds rows of claimed gains only",
+                         EXIT_BAD_INPUT)
     with open(args.benchmark) as fh:
         benchmark = json.load(fh)
     metrics = {metric["name"]: metric for metric in benchmark["end_to_end"]}
@@ -288,7 +301,7 @@ def cmd_record(args: argparse.Namespace) -> int:
             f" and {len(seeds)} seeds: one run per seed and side",
             EXIT_BAD_INPUT)
     claim_workload, _, claim_metric = args.claim.partition(":")
-    if claim_metric not in metrics:
+    if args.claim and claim_metric not in metrics:
         raise GuardError(f"error: --claim names no end-to-end metric:"
                          f" {args.claim!r}", EXIT_BAD_INPUT)
     failures = []
@@ -337,13 +350,16 @@ def cmd_record(args: argparse.Namespace) -> int:
             print(f"{where:34s} {old:12.4f} -> {new:12.4f}"
                   f" wins {wins}/{len(seeds)}  iqr {iqr:.3f}")
         workloads[workload] = {"seeds": seeds, "metrics": record}
-    if claim_workload not in workloads:
+    if args.claim and claim_workload not in workloads:
         raise GuardError(f"error: no {claim_workload} runs for --claim",
                          EXIT_BAD_INPUT)
+    claimed = None
+    if args.claim:
+        claimed = {"workload": claim_workload, "metric": claim_metric}
     row = {
         "change": args.change,
         "parent": args.parent_commit,
-        "claimed": {"workload": claim_workload, "metric": claim_metric},
+        "claimed": claimed,
         "run_seconds": benchmark["run_seconds"],
         "workloads": workloads,
     }
@@ -419,8 +435,9 @@ def main() -> int:
                         help="change side, same seeds in the same order")
     record.add_argument("--seeds", required=True,
                         help="the pairs' seeds: FIRST-LAST or a,b,c")
-    record.add_argument("--claim", required=True,
-                        help="claimed gain as WORKLOAD:METRIC")
+    record.add_argument("--claim", default="",
+                        help="claimed gain as WORKLOAD:METRIC; without"
+                             " it, only the bounds are judged")
     record.add_argument("--change", required=True,
                         help="one-line title of the change")
     record.add_argument("--parent-commit", required=True)
