@@ -34,11 +34,9 @@ from typing import TYPE_CHECKING, Iterable, Tuple
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..wm import Swm
 
-#: Handler priorities: lower runs first.  Observers never consume and
-#: see every event first.  Overlay handlers (an active drag, selection
-#: prompt, or menu) intercept before per-subsystem window handlers,
-#: which intercept before generic bindings dispatch.
-PRI_OBSERVER = -10
+#: Handler priorities: lower runs first.  Overlay handlers (an active
+#: drag, selection prompt, or menu) intercept before per-subsystem
+#: window handlers, which intercept before generic bindings dispatch.
 PRI_OVERLAY = 0
 PRI_SUBSYSTEM = 50
 PRI_BINDINGS = 100
@@ -93,7 +91,6 @@ __all__ = [
     "RedirectController",
     "RestartController",
     "PRI_BINDINGS",
-    "PRI_OBSERVER",
     "PRI_OVERLAY",
     "PRI_SUBSYSTEM",
     "Subsystem",
